@@ -15,18 +15,21 @@
 /// plus the comparison table.
 ///
 /// Flags: --smoke                  CI-sized problem (16 procs x 108 units,
-///                                 same panel structure); the paper-scale
-///                                 default takes minutes per panel, and 20+
-///                                 minutes total under --policy=sfc.
+///                                 same panel structure). fig3 timings,
+///                                 RelWithDebInfo on a 4-core x86-64 VM:
+///                                 smoke 0.03 s (2.9 s under --policy=sfc),
+///                                 paper scale 4.6 s (over 15 minutes under
+///                                 --policy=sfc; see EXPERIMENTS.md).
 ///        --trace-out=<file>       export a Chrome/Perfetto trace per panel
 ///                                 (file gets a "-a".."-f" suffix per system).
 ///        --fault-profile=<name>   run under a canned fault-injection profile
 ///                                 (none | lossy1pct | burst-reorder |
 ///                                 one-slow-node, see EXPERIMENTS.md).
 ///        --fault-seed=<n>         seed the fault plan's RNG streams.
-///        --policy=<name>          override the PREMA panels' balancing
-///                                 policy (any registry name, including the
-///                                 topology-aware sfc and cluster).
+///        --policy=<name>          balancing policy of the PREMA panels (b)
+///                                 and (c) (any registry name, including the
+///                                 topology-aware sfc and cluster); panel (a)
+///                                 always runs without balancing.
 
 namespace prema::bench {
 
@@ -64,9 +67,8 @@ inline int run_figure(int argc, char** argv, const char* title,
     }
   }
   if (smoke) {
-    // Same six panels, CI-sized: the paper-scale problem takes minutes per
-    // panel (and --policy=sfc 20+ minutes total), which only EXPERIMENTS.md
-    // reproduction runs should pay for.
+    // Same six panels, CI-sized: paper-scale --policy=sfc runs take over
+    // 15 minutes (EXPERIMENTS.md), which only reproduction runs should pay for.
     cfg.nprocs = 16;
     cfg.units_per_proc = 108;
   }

@@ -1,12 +1,15 @@
 // Microbenchmarks (google-benchmark, real CPU time): costs of the runtime's
 // building blocks — serialization, scheduler operations, MOL bookkeeping,
-// and the discrete-event engine itself. These measure the *implementation*,
-// complementing the virtual-time experiment binaries.
+// policy decision cycles, and the discrete-event engine itself. These
+// measure the *implementation*, complementing the virtual-time experiment
+// binaries.
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <memory>
 
 #include "dmcs/sim_machine.hpp"
+#include "ilb/policies/sfc.hpp"
 #include "ilb/scheduler.hpp"
 #include "mol/mol.hpp"
 #include "sim/event_queue.hpp"
@@ -125,6 +128,124 @@ void BM_ObjectMigrationSerialize(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_ObjectMigrationSerialize)->Arg(1024)->Arg(1 << 20);
+
+// ---------------------------------------------------------------------------
+// Policy decision cycles, run against a minimal in-file PolicyContext so the
+// figure is the policy layer alone (no emulator, no MOL).
+// ---------------------------------------------------------------------------
+
+/// One rank's view for a topology policy: a fixed set of resident objects
+/// with coordinates; sends and migrations are counted, not performed, so
+/// every iteration sees the same state.
+class BenchContext final : public ilb::PolicyContext {
+ public:
+  BenchContext(ProcId rank, int nprocs) : rank_(rank), nprocs_(nprocs), rng_(1) {}
+
+  [[nodiscard]] ProcId rank() const override { return rank_; }
+  [[nodiscard]] int nprocs() const override { return nprocs_; }
+  [[nodiscard]] double now() const override { return now_; }
+  [[nodiscard]] util::Rng& rng() override { return rng_; }
+  [[nodiscard]] double local_load() const override { return load_; }
+  [[nodiscard]] double low_watermark() const override { return 2.0; }
+  [[nodiscard]] double donate_threshold() const override { return 4.0; }
+  [[nodiscard]] std::vector<ilb::Scheduler::ObjectLoad> migratable() const override {
+    return objects_;
+  }
+  void migrate_object(const mol::MobilePtr&, ProcId) override { ++migrations_; }
+  void send_policy(ProcId, ilb::PolicyTag, std::vector<std::uint8_t> body) override {
+    last_body_ = std::move(body);
+    ++sends_;
+  }
+  void charge_seconds(double) override {}
+  void request_poll_after(double) override {}
+  [[nodiscard]] bool topology_enabled() const override { return true; }
+  [[nodiscard]] std::optional<mol::Coords> object_coords(
+      const mol::MobilePtr& ptr) const override {
+    const auto it = coords_.find(ptr);
+    if (it == coords_.end()) return std::nullopt;
+    return it->second;
+  }
+
+  /// `n` objects homed on `home`, spread along the x axis in `slot` of
+  /// `slots` interleaved lanes, each weighing `weight`.
+  void add_objects(ProcId home, int n, int slot, int slots, double weight) {
+    for (int i = 0; i < n; ++i) {
+      const mol::MobilePtr ptr{home, static_cast<std::uint32_t>(i)};
+      const double x = (i * slots + slot + 0.5) / (n * slots);
+      coords_[ptr] = {x, 0.5, 0.5};
+      objects_.push_back({ptr, 1, weight});
+      load_ += weight;
+    }
+  }
+
+  ProcId rank_;
+  int nprocs_;
+  util::Rng rng_;
+  double now_ = 0.0;
+  double load_ = 0.0;
+  std::vector<ilb::Scheduler::ObjectLoad> objects_;
+  std::map<mol::MobilePtr, mol::Coords> coords_;
+  std::vector<std::uint8_t> last_body_;
+  std::int64_t sends_ = 0;
+  std::int64_t migrations_ = 0;
+};
+
+constexpr int kSfcRanks = 16;
+
+void BM_SfcReport(benchmark::State& state) {
+  // A member rank's report: bucket every resident object, build the sorted
+  // histogram and serialize it for the coordinator.
+  const int n = static_cast<int>(state.range(0));
+  BenchContext ctx(1, kSfcRanks);
+  ctx.add_objects(1, n, 0, 1, 1.0);
+  ilb::SfcPolicy policy;
+  policy.init(ctx);
+  for (auto _ : state) {
+    policy.on_poll(ctx);
+    benchmark::DoNotOptimize(ctx.last_body_.data());
+    ctx.now_ += 1.0;
+  }
+  if (ctx.sends_ != static_cast<std::int64_t>(state.iterations())) {
+    state.SkipWithError("not every poll sent a report");
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_SfcReport)->Arg(54)->Arg(864);
+
+void BM_SfcCoordinatorRecut(benchmark::State& state) {
+  // The coordinator's full decision cycle: its own report, every other
+  // rank's report off the wire, then merge, cut and broadcast. Rank r holds
+  // r + 1 load per object in lane r of the x axis, so the placement is
+  // imbalanced and every round recuts.
+  const int n = static_cast<int>(state.range(0));
+  std::vector<std::vector<std::uint8_t>> wire(kSfcRanks);
+  for (ProcId r = 1; r < kSfcRanks; ++r) {
+    BenchContext member(r, kSfcRanks);
+    member.add_objects(r, n, r, kSfcRanks, r + 1.0);
+    ilb::SfcPolicy reporter;
+    reporter.init(member);
+    reporter.on_poll(member);
+    wire[static_cast<std::size_t>(r)] = std::move(member.last_body_);
+  }
+  BenchContext ctx(0, kSfcRanks);
+  ctx.add_objects(0, n, 0, kSfcRanks, 1.0);
+  ilb::SfcPolicy policy;
+  policy.init(ctx);
+  for (auto _ : state) {
+    policy.on_poll(ctx);
+    for (ProcId r = 1; r < kSfcRanks; ++r) {
+      util::ByteReader body(wire[static_cast<std::size_t>(r)]);
+      policy.on_message(ctx, r, 20, body);
+    }
+    benchmark::DoNotOptimize(ctx.last_body_.data());
+    ctx.now_ += 1.0;
+  }
+  if (static_cast<std::int64_t>(policy.stats().cuts_broadcast) != state.iterations()) {
+    state.SkipWithError("not every round recut");
+  }
+  state.SetItemsProcessed(state.iterations() * kSfcRanks * n);
+}
+BENCHMARK(BM_SfcCoordinatorRecut)->Arg(54)->Arg(864);
 
 }  // namespace
 

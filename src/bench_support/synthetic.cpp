@@ -22,7 +22,7 @@ using util::ByteReader;
 using util::ByteWriter;
 using util::TimeCategory;
 
-const char* system_name(System s) {
+std::string system_name(System s) {
   switch (s) {
     case System::kNoLB: return "No Load Balancing";
     case System::kPremaExplicit: return "PREMA (explicit polling)";
@@ -189,8 +189,9 @@ RunReport run_prema_family(System sys, const SyntheticConfig& cfg) {
 
   RuntimeConfig rcfg;
   rcfg.trace.enabled = !cfg.trace_out.empty();
-  std::string policy = cfg.policy;
-  if (policy.empty()) policy = sys == System::kNoLB ? "null" : "work_stealing";
+  // Panel (a) is the no-balancing baseline whatever the override says.
+  std::string policy = sys == System::kNoLB ? "null" : cfg.policy;
+  if (policy.empty()) policy = "work_stealing";
   rcfg.policy = policy;
   rcfg.balancer.low_watermark = cfg.low_watermark;
   rcfg.balancer.donate_threshold = 2 * cfg.low_watermark;

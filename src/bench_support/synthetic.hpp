@@ -30,16 +30,18 @@ enum class System {
   kCharmSync,
 };
 
-const char* system_name(System s);
+/// Returned by value: assigning the literal into RunReport::label trips a
+/// false GCC 12 -Wrestrict at -O3 (the std::string move-assign does not).
+std::string system_name(System s);
 const char* system_panel(System s);  ///< (a)..(f) per the paper's figures
 
 struct SyntheticConfig {
   int nprocs = 128;
   int units_per_proc = 864;
-  /// Balancing-policy registry name for the PREMA systems. Empty keeps the
-  /// legacy mapping (kNoLB -> "null", the other panels -> "work_stealing"
-  /// with the grant-size tuning below); any ilb::make_policy name — including
-  /// the topology-aware "sfc" and "cluster" — overrides it. Units always
+  /// Balancing-policy registry name for the PREMA panels (b) and (c). Empty
+  /// means "work_stealing" with the grant-size tuning below; any
+  /// ilb::make_policy name — including the topology-aware "sfc" and
+  /// "cluster" — overrides it. Panel (a) always runs "null". Units always
   /// register grid coordinates (a no-op unless the policy wants topology).
   std::string policy;
   /// Machine backend for the PREMA systems: "sim" (emulated, deterministic)

@@ -1,7 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ilb/policy.hpp"
@@ -17,8 +18,8 @@
 ///
 /// Distributed realization: processors periodically report a sparse
 /// key-bucket load histogram to a coordinator (rank 0); the coordinator
-/// merges, prefix-sums, recuts when the segment imbalance warrants it, and
-/// broadcasts the cut table. Objects without registered coordinates hash to
+/// checks the per-rank loads, and only when the placement is imbalanced
+/// merges the histograms, prefix-sums, recuts and broadcasts the cut table. Objects without registered coordinates hash to
 /// a deterministic bucket so they still land somewhere stable.
 
 namespace prema::ilb {
@@ -50,9 +51,9 @@ struct SfcParams {
 class SfcPolicy final : public Policy {
  public:
   /// Number of key buckets in the reported histogram (top bits of the key).
-  /// Histograms are sparse maps, so the wire/memory cost scales with the
-  /// number of *occupied* buckets (bounded by the object count), not with
-  /// kBuckets — so this can be generous. It must be: each bucket is an
+  /// Histograms are sorted flat vectors of occupied buckets, so the
+  /// wire/memory cost scales with the number of *occupied* buckets (bounded
+  /// by the object count), not with kBuckets — so this can be generous. It must be: each bucket is an
   /// unsplittable cut unit, and the top B bits of an interleaved 3-D key
   /// give only B/3 octree levels of resolution per axis. 10 bits (~3 levels)
   /// collapses a line of objects into ~8 usable cells, merging neighboring
@@ -73,8 +74,14 @@ class SfcPolicy final : public Policy {
   void on_gossip(PolicyContext&, const GossipSummary&) override {}
 
   /// Bucket index for one object (key top bits; coordless objects hash).
+  /// The curve key is memoized per object and reused only while the
+  /// object's coordinates compare equal to the ones it was computed from.
   [[nodiscard]] std::uint32_t bucket_of(PolicyContext& ctx,
                                         const mol::MobilePtr& ptr) const;
+
+  /// A load histogram: (bucket, load) entries in strictly ascending bucket
+  /// order. This is also the wire order of a report.
+  using Histogram = std::vector<std::pair<std::uint32_t, double>>;
 
   struct Stats {
     std::uint64_t reports_sent = 0;
@@ -90,6 +97,8 @@ class SfcPolicy final : public Policy {
   static constexpr PolicyTag kCuts = 21;
 
   void report(PolicyContext& ctx);
+  /// Coordinator: keep `hist` as `rank`'s latest report.
+  void store_report(ProcId rank, Histogram hist);
   void maybe_recut(PolicyContext& ctx);
   void apply_cuts(PolicyContext& ctx);
   /// The rank owning `bucket` under the current cut table.
@@ -105,9 +114,22 @@ class SfcPolicy final : public Policy {
   /// first cut table arrives.
   std::vector<std::uint32_t> start_;
 
+  struct KeyMemo {
+    mol::Coords coords;
+    std::uint32_t bucket = 0;
+  };
+  /// Curve bucket per object, keyed on the coordinates it was computed from.
+  mutable std::unordered_map<mol::MobilePtr, KeyMemo> memo_;
+
   // -- coordinator state (rank 0 only) -------------------------------------
-  /// Latest sparse histogram per reporting rank (ordered for determinism).
-  std::map<ProcId, std::map<std::uint32_t, double>> reports_;
+  struct Report {
+    bool fresh = false;  ///< reported since the last cut
+    double load = 0.0;   ///< the histogram's loads summed in bucket order
+    Histogram hist;
+  };
+  /// Latest histogram per rank, indexed by rank.
+  std::vector<Report> reports_;
+  int fresh_reports_ = 0;
 };
 
 }  // namespace prema::ilb

@@ -33,6 +33,7 @@ struct Coords {
   double x = 0.0;
   double y = 0.0;
   double z = 0.0;
+  friend bool operator==(const Coords&, const Coords&) = default;
 };
 
 /// One directed object-to-object traffic edge (aggregated counts).

@@ -71,6 +71,17 @@ TEST(SyntheticBench, SpikeMakesStopRepartitionDecline) {
   EXPECT_GE(srp.makespan, 0.95 * no_lb.makespan);
 }
 
+TEST(SyntheticBench, PolicyOverrideLeavesPanelANoLoadBalancing) {
+  // --policy selects the PREMA panels' balancer; panel (a) is the baseline.
+  for (const char* policy : {"sfc", "work_stealing"}) {
+    auto cfg = small_config(0.5, 500.0);
+    cfg.policy = policy;
+    const auto no_lb = run_synthetic(System::kNoLB, cfg);
+    EXPECT_EQ(no_lb.policy, "null") << policy;
+    EXPECT_EQ(no_lb.migrations, 0u) << policy;
+  }
+}
+
 TEST(SyntheticBench, ChargesAreConserved) {
   // Every processor's ledger must sum exactly to the makespan: the emulator
   // accounts every instant of every processor to some category.

@@ -621,6 +621,126 @@ TEST(Sfc, IgnoresForeignTagsAndHashesCoordlessObjects) {
   EXPECT_EQ(b, p.bucket_of(ctx, coordless));
 }
 
+TEST(Sfc, BucketMemoFollowsOverwrittenCoordinates) {
+  FakeContext ctx(1, 2);
+  ctx.topology_ = true;
+  SfcPolicy p;
+  p.init(ctx);
+  const mol::MobilePtr obj{1, 0};
+  ctx.coords_[obj] = {0.1, 0.1, 0.1};
+  const auto near = p.bucket_of(ctx, obj);
+  EXPECT_EQ(near, p.bucket_of(ctx, obj));
+  // The application moves the object: the memoized bucket must not be served
+  // for the new coordinates, and moving back must restore the old bucket.
+  ctx.coords_[obj] = {0.9, 0.9, 0.9};
+  const auto far = p.bucket_of(ctx, obj);
+  EXPECT_NE(far, near);
+  SfcPolicy fresh;
+  EXPECT_EQ(far, fresh.bucket_of(ctx, obj));
+  ctx.coords_[obj] = {0.1, 0.1, 0.1};
+  EXPECT_EQ(p.bucket_of(ctx, obj), near);
+  // Losing the coordinates falls back to the pointer hash, as without a memo.
+  ctx.coords_.erase(obj);
+  EXPECT_EQ(p.bucket_of(ctx, obj), fresh.bucket_of(ctx, obj));
+}
+
+/// A rank's histogram report as it travels on the wire.
+util::ByteWriter sfc_report(
+    const std::vector<std::pair<std::uint32_t, double>>& entries) {
+  util::ByteWriter w;
+  w.put<std::uint32_t>(static_cast<std::uint32_t>(entries.size()));
+  for (const auto& [bucket, load] : entries) {
+    w.put<std::uint32_t>(bucket);
+    w.put<double>(load);
+  }
+  return w;
+}
+
+TEST(Sfc, CoordinatorMergeMatchesGoldenCutTable) {
+  // Three ranks report an overlapping bucket with loads whose floating-point
+  // sum depends on the order they are added in: 0.1 + 0.2 + 0.3 in rank
+  // order is 0.6000000000000001, in reverse order 0.6. The merge contract is
+  // that each bucket sums from 0.0 in rank order, rank 0 first; the golden
+  // imbalance below pins that order bit for bit.
+  FakeContext ctx(0, 3);
+  ctx.topology_ = true;
+  SfcPolicy p;
+  p.init(ctx);
+  const mol::MobilePtr a{0, 0};
+  ctx.coords_[a] = {0.1, 0.1, 0.1};
+  ctx.add_object(a, 0.1);
+  const std::uint32_t ka = p.bucket_of(ctx, a);
+  constexpr std::uint32_t kb = SfcPolicy::kBuckets - 2;
+  constexpr std::uint32_t kc = SfcPolicy::kBuckets - 1;
+  ASSERT_LT(ka, kb);
+
+  p.on_poll(ctx);  // rank 0: {ka: 0.1}
+  auto r1 = sfc_report({{ka, 0.2}, {kb, 0.55}});
+  util::ByteReader rr1(r1.bytes());
+  p.on_message(ctx, 1, 20, rr1);
+  EXPECT_EQ(p.stats().cuts_broadcast, 0u);  // rank 2 has not reported yet
+  auto r2 = sfc_report({{ka, 0.3}, {kc, 0.55}});
+  util::ByteReader rr2(r2.bytes());
+  p.on_message(ctx, 2, 20, rr2);
+
+  // Rank loads 0.1 / 0.75 / 0.85 against a share of 1.7 / 3: recut. The
+  // merged bucket ka (~0.6) is the heaviest segment of the proposal.
+  ASSERT_EQ(p.stats().cuts_broadcast, 1u);
+  ASSERT_EQ(ctx.sent_.size(), 2u);
+  for (ProcId dst = 1; dst <= 2; ++dst) {
+    const auto& m = ctx.sent_[static_cast<std::size_t>(dst - 1)];
+    EXPECT_EQ(m.dst, dst);
+    EXPECT_EQ(m.tag, 21);
+    auto r = reader_of(m);
+    ASSERT_EQ(r.get<std::uint32_t>(), 3u);
+    EXPECT_EQ(r.get<std::uint32_t>(), 0u);
+    EXPECT_EQ(r.get<std::uint32_t>(), kb);
+    EXPECT_EQ(r.get<std::uint32_t>(), kc);
+    EXPECT_TRUE(r.exhausted());
+  }
+  EXPECT_TRUE(ctx.migrations_.empty());  // rank 0's object sits in segment 0
+  ASSERT_EQ(ctx.sfc_cuts_.size(), 1u);
+  EXPECT_EQ(ctx.sfc_cuts_[0].first, 3u);
+  // Bit-exact, not DOUBLE_EQ: the summation order is the contract.
+  // 0x1.0f0f0f0f0f0f1p+0 is 0.6000000000000001 / (1.7 / 3); the reverse
+  // order's 0.6 would give 0x1.0f0f0f0f0f0f0p+0.
+  EXPECT_EQ(ctx.sfc_cuts_[0].second, 0x1.0f0f0f0f0f0f1p+0);
+}
+
+TEST(Sfc, BelowThresholdRoundBroadcastsAndMigratesNothing) {
+  // Rank loads 0.8 / 1.2 (current imbalance 1.2), and the proposed cuts
+  // would balance them exactly. Under the default threshold (1.05) that is
+  // a recut; with the threshold raised to 1.5 the same round must end with
+  // no decision at all.
+  for (const double threshold : {1.05, 1.5}) {
+    FakeContext ctx(0, 2);
+    ctx.topology_ = true;
+    SfcParams params;
+    params.recut_threshold = threshold;
+    SfcPolicy p(params);
+    p.init(ctx);
+    const mol::MobilePtr mine{0, 0};
+    ctx.coords_[mine] = {0.1, 0.1, 0.1};
+    ctx.add_object(mine, 0.8);
+    const std::uint32_t k = p.bucket_of(ctx, mine);
+    ASSERT_GT(k, 0u);
+    p.on_poll(ctx);
+    auto r1 = sfc_report({{0, 1.0}, {SfcPolicy::kBuckets - 1, 0.2}});
+    util::ByteReader r(r1.bytes());
+    p.on_message(ctx, 1, 20, r);
+    if (threshold < 1.2) {
+      EXPECT_EQ(p.stats().cuts_broadcast, 1u);
+      EXPECT_EQ(ctx.sent_.size(), 1u);
+      EXPECT_EQ(ctx.migrations_.size(), 1u);
+      continue;
+    }
+    EXPECT_EQ(p.stats().cuts_broadcast, 0u);
+    EXPECT_TRUE(ctx.sent_.empty());
+    EXPECT_TRUE(ctx.migrations_.empty());
+    EXPECT_TRUE(ctx.sfc_cuts_.empty());
+  }
+}
+
 TEST(Cluster, MigratesTowardDominantPartnerAndCoMigratesClique) {
   FakeContext ctx(0, 2);
   ctx.topology_ = true;

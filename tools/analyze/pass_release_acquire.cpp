@@ -27,6 +27,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "analyze/passes.hpp"
 
@@ -92,22 +93,28 @@ void pass_release_acquire(const Tree& tree, const Options& opts,
       const AtomicOp& op = *ev.release_store;
       const SourceFile& f = tree.files[static_cast<std::size_t>(op.file)];
       if (!allow_comment(f, op.pos, "release-acquire-unpaired-store")) {
-        out.push_back(
-            {"release-acquire-unpaired-store", f.rel, line_of(f.code, op.pos),
-             "'" + site_context(op) + "' publishes '" + qual +
-                 "' with memory_order_release but no site anywhere loads "
-                 "it — the release synchronizes-with nothing"});
+        std::string msg = "'";
+        msg.append(site_context(op));
+        msg.append("' publishes '");
+        msg.append(qual);
+        msg.append("' with memory_order_release but no site anywhere loads "
+                   "it — the release synchronizes-with nothing");
+        out.push_back({"release-acquire-unpaired-store", f.rel, line_of(f.code, op.pos),
+                       std::move(msg)});
       }
     }
     if (ev.acquire_load != nullptr && ev.release_side == 0) {
       const AtomicOp& op = *ev.acquire_load;
       const SourceFile& f = tree.files[static_cast<std::size_t>(op.file)];
       if (!allow_comment(f, op.pos, "release-acquire-unpaired-load")) {
-        out.push_back(
-            {"release-acquire-unpaired-load", f.rel, line_of(f.code, op.pos),
-             "'" + site_context(op) + "' acquires '" + qual +
-                 "' but no site anywhere stores it — the acquire orders "
-                 "against stores that never happen"});
+        std::string msg = "'";
+        msg.append(site_context(op));
+        msg.append("' acquires '");
+        msg.append(qual);
+        msg.append("' but no site anywhere stores it — the acquire orders "
+                   "against stores that never happen");
+        out.push_back({"release-acquire-unpaired-load", f.rel, line_of(f.code, op.pos),
+                       std::move(msg)});
       }
     }
   }
