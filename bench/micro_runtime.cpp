@@ -7,6 +7,7 @@
 
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "dmcs/sim_machine.hpp"
 #include "ilb/policies/sfc.hpp"
@@ -36,16 +37,46 @@ void BM_ByteWriterRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_ByteWriterRoundTrip)->Arg(64)->Arg(1024)->Arg(65536);
 
 void BM_EventQueueScheduleRun(benchmark::State& state) {
+  // Schedule n events over `distinct` time values, then drain. (1000, 1000)
+  // spreads them out; (110592, 1) is fig3's paper-scale burst: 128 procs x
+  // 864 units all pending at one time, every tie broken by sequence.
+  const auto n = static_cast<int>(state.range(0));
+  const auto distinct = static_cast<int>(state.range(1));
   for (auto _ : state) {
     sim::EventQueue q;
-    for (int i = 0; i < 1000; ++i) {
-      q.schedule(static_cast<double>((i * 7919) % 1000), [] {});
+    for (int i = 0; i < n; ++i) {
+      q.schedule(static_cast<double>((static_cast<std::int64_t>(i) * 7919) % distinct), [] {});
     }
     while (!q.empty()) q.run_next();
   }
-  state.SetItemsProcessed(state.iterations() * 1000);
+  state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_EventQueueScheduleRun);
+BENCHMARK(BM_EventQueueScheduleRun)->Args({1000, 1000})->Args({110592, 1});
+
+void BM_EventQueueCancelReschedule(benchmark::State& state) {
+  // SimNode::ensure_service: an arrival earlier than a node's pending service
+  // event cancels it and schedules a new one. 128 nodes each keep one event
+  // pending; per item, one node is pulled forward and the earliest fires.
+  constexpr int kNodes = 128;
+  sim::EventQueue q;
+  std::vector<sim::EventId> pending(kNodes);
+  int fired = -1;
+  const auto schedule = [&](int p, double t) {
+    pending[static_cast<std::size_t>(p)] = q.schedule(t, [&fired, p] { fired = p; });
+  };
+  for (int p = 0; p < kNodes; ++p) schedule(p, 1.0 + 1e-3 * p);
+  double now = 0.0;
+  int next = 0;
+  for (auto _ : state) {
+    q.cancel(pending[static_cast<std::size_t>(next)]);
+    schedule(next, now + 1e-4);
+    next = (next + 1) % kNodes;
+    now = q.run_next();
+    schedule(fired, now + 1.0);  // the served node waits for its next arrival
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueCancelReschedule);
 
 void BM_SchedulerEnqueuePick(benchmark::State& state) {
   const auto objects = static_cast<std::uint32_t>(state.range(0));

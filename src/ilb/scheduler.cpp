@@ -8,17 +8,17 @@ namespace prema::ilb {
 
 void Scheduler::enqueue(mol::Delivery&& d) {
   auto [it, inserted] = per_object_.try_emplace(d.target);
-  auto& q = it->second;
-  if (!q.empty()) {
+  ObjectQueue& q = it->second;
+  const bool was_empty = q.empty();
+  if (!was_empty) {
     // Delivery numbers are assigned at first acceptance and preserved across
     // migrations, so within an object they must arrive monotonically.
-    PREMA_CHECK_MSG(q.back().delivery_no < d.delivery_no,
+    PREMA_CHECK_MSG(q.items.back().delivery_no < d.delivery_no,
                     "out-of-order delivery reached the scheduler");
   }
   ++total_units_;
   total_weight_ += d.weight;
-  const bool was_empty = q.empty();
-  q.push_back(std::move(d));
+  q.items.push_back(std::move(d));
   if (was_empty) ready_.push_back(it->first);
 }
 
@@ -28,15 +28,20 @@ std::optional<mol::Delivery> Scheduler::pick() {
   const mol::MobilePtr ptr = ready_.front();
   ready_.pop_front();
   auto it = per_object_.find(ptr);
-  PREMA_CHECK(it != per_object_.end());
-  mol::Delivery d = std::move(it->second.front());
-  it->second.pop_front();
+  PREMA_CHECK(it != per_object_.end() && !it->second.empty());
+  ObjectQueue& q = it->second;
+  mol::Delivery d = std::move(q.items[q.head++]);
   --total_units_;
   total_weight_ -= d.weight;
   settle_weight();
-  if (it->second.empty()) {
-    per_object_.erase(it);
+  if (q.empty()) {
+    q.items.clear();
+    q.head = 0;
   } else {
+    if (2 * q.head > q.items.size()) {
+      q.items.erase(q.items.begin(), q.items.begin() + static_cast<std::ptrdiff_t>(q.head));
+      q.head = 0;
+    }
     ready_.push_back(ptr);  // round-robin across objects
   }
   executing_ = true;
@@ -55,33 +60,37 @@ std::vector<mol::Delivery> Scheduler::take_queued(const mol::MobilePtr& ptr) {
                   "cannot take the executing object's queue");
   auto it = per_object_.find(ptr);
   if (it == per_object_.end()) return {};
-  std::vector<mol::Delivery> out(std::make_move_iterator(it->second.begin()),
-                                 std::make_move_iterator(it->second.end()));
+  ObjectQueue& q = it->second;
+  q.items.erase(q.items.begin(), q.items.begin() + static_cast<std::ptrdiff_t>(q.head));
+  std::vector<mol::Delivery> out = std::move(q.items);
+  per_object_.erase(it);  // the object is leaving this processor
+  if (out.empty()) return out;
   for (const auto& d : out) {
     --total_units_;
     total_weight_ -= d.weight;
   }
   settle_weight();
-  per_object_.erase(it);
   ready_.erase(std::remove(ready_.begin(), ready_.end(), ptr), ready_.end());
   return out;
 }
 
 std::vector<Scheduler::ObjectLoad> Scheduler::migratable_loads() const {
   std::vector<ObjectLoad> out;
-  out.reserve(per_object_.size());
-  for (const auto& [ptr, q] : per_object_) {
+  out.reserve(ready_.size());
+  for (const mol::MobilePtr& ptr : ready_) {
     if (executing_ && ptr == executing_ptr_) continue;
+    const ObjectQueue& q = per_object_.find(ptr)->second;
     ObjectLoad l;
     l.ptr = ptr;
     l.units = q.size();
-    for (const auto& d : q) l.weight += d.weight;
+    for (std::size_t i = q.head; i < q.items.size(); ++i) l.weight += q.items[i].weight;
     // Zero-weight queues (pure control messages, e.g. a coordinator object)
     // carry no movable load; migrating them helps nobody.
     if (l.weight <= 0.0) continue;
     out.push_back(l);
   }
-  // Deterministic order for policies that iterate (hash map order is not).
+  // ready_ is in round-robin order; sort into the (weight desc, ptr asc)
+  // total order policies rely on.
   std::sort(out.begin(), out.end(), [](const ObjectLoad& a, const ObjectLoad& b) {
     if (a.weight != b.weight) return a.weight > b.weight;
     return a.ptr < b.ptr;

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <deque>
-#include <map>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "mol/delivery.hpp"
@@ -72,9 +72,20 @@ class Scheduler {
     }
   }
 
-  /// Ordered map: migratable_loads() iterates it to build the policy's view
-  /// of movable work, so iteration order must be deterministic.
-  std::map<mol::MobilePtr, std::deque<mol::Delivery>> per_object_;
+  /// One object's FIFO: units [head, items.size()) are queued. The vector
+  /// keeps its capacity when drained, so steady-state enqueues allocate
+  /// nothing; the consumed prefix is dropped once it passes half the size.
+  struct ObjectQueue {
+    std::vector<mol::Delivery> items;
+    std::size_t head = 0;
+    [[nodiscard]] bool empty() const { return head == items.size(); }
+    [[nodiscard]] std::size_t size() const { return items.size() - head; }
+  };
+
+  /// Looked up by pointer only, never iterated: every ordered walk goes
+  /// through ready_, so hash order cannot reach a policy or a trace. An
+  /// object's entry (with its spare capacity) stays until it migrates away.
+  std::unordered_map<mol::MobilePtr, ObjectQueue> per_object_;
   std::deque<mol::MobilePtr> ready_;  ///< each object with queued units, once
   std::size_t total_units_ = 0;
   double total_weight_ = 0.0;

@@ -1,5 +1,6 @@
 #include "mol/mol.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "support/assert.hpp"
@@ -42,9 +43,9 @@ Mol::Mol(dmcs::Node& node, const ObjectTypeRegistry& types, dmcs::HandlerId rout
 MobilePtr Mol::add_object(std::unique_ptr<MobileObject> obj) {
   PREMA_CHECK_MSG(obj != nullptr, "cannot register a null object");
   util::RecursiveLock g(node_.state_mutex());
-  const MobilePtr ptr{node_.rank(), next_index_++};
+  const MobilePtr ptr{node_.rank(), static_cast<std::uint32_t>(home_dir_.size())};
   local_.emplace(ptr, LocalEntry{std::move(obj), 0, {}, {}});
-  home_dir_[ptr.index] = node_.rank();
+  home_dir_.push_back(node_.rank());
   return ptr;
 }
 
@@ -72,7 +73,9 @@ std::vector<MobilePtr> Mol::local_ptrs() const {
   util::RecursiveLock g(node_.state_mutex());
   std::vector<MobilePtr> out;
   out.reserve(local_.size());
+  // analyze:allow(sim-purity-unordered) — sorted below, before anyone sees it
   for (const auto& [ptr, entry] : local_) out.push_back(ptr);
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -89,9 +92,8 @@ ProcId Mol::best_known(const MobilePtr& ptr) const {
   // strictly later owner, so chasing them terminates; the directory and the
   // lazily learned cache are entry points into that chain.
   if (ptr.home == node_.rank()) {
-    if (auto it = home_dir_.find(ptr.index);
-        it != home_dir_.end() && it->second != node_.rank()) {
-      return it->second;
+    if (ptr.index < home_dir_.size() && home_dir_[ptr.index] != node_.rank()) {
+      return home_dir_[ptr.index];
     }
   }
   if (auto it = forwarding_.find(ptr); it != forwarding_.end()) return it->second;
@@ -438,6 +440,7 @@ void Mol::on_migrate_locked(Message&& msg) {
     node_.send(ptr.home, Message{update_h_, node_.rank(), MsgKind::kSystem, w.take()});
     ++stats_.location_updates;
   } else {
+    PREMA_CHECK_MSG(ptr.index < home_dir_.size(), "object homed here was never created");
     home_dir_[ptr.index] = node_.rank();
   }
 
@@ -463,6 +466,7 @@ void Mol::on_location_update(Message&& msg) {
 void Mol::learn(const MobilePtr& ptr, ProcId loc) {
   if (is_local_locked(ptr)) return;  // we hold it; updates are stale by definition
   if (ptr.home == node_.rank()) {
+    PREMA_CHECK_MSG(ptr.index < home_dir_.size(), "object homed here was never created");
     home_dir_[ptr.index] = loc;
     return;
   }

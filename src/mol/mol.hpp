@@ -192,10 +192,9 @@ class Mol {
   // code (policy handlers on the poller migrate objects; the worker routes
   // application messages), so every map below is shared mutable state.
   Stats stats_ PREMA_GUARDED_BY(node_.state_mutex());
-  std::uint32_t next_index_ PREMA_GUARDED_BY(node_.state_mutex()) = 0;
-  /// Ordered map: local_ptrs() feeds policy decisions and migrate scans
-  /// iterate it, so iteration order must be deterministic.
-  std::map<MobilePtr, LocalEntry> local_
+  /// Resident objects. Hash order never escapes: local_ptrs(), the only
+  /// walk over it, sorts its result.
+  std::unordered_map<MobilePtr, LocalEntry> local_
       PREMA_GUARDED_BY(node_.state_mutex());
   /// Where each object went from here (forwarding addresses).
   std::unordered_map<MobilePtr, ProcId> forwarding_
@@ -203,9 +202,9 @@ class Mol {
   /// Lazily learned locations.
   std::unordered_map<MobilePtr, ProcId> cache_
       PREMA_GUARDED_BY(node_.state_mutex());
-  /// Authoritative directory for the mobile pointers homed here.
-  std::unordered_map<std::uint32_t, ProcId> home_dir_
-      PREMA_GUARDED_BY(node_.state_mutex());
+  /// Authoritative directory for the mobile pointers homed here, indexed by
+  /// MobilePtr::index: add_object hands out the next index and appends.
+  std::vector<ProcId> home_dir_ PREMA_GUARDED_BY(node_.state_mutex());
   /// Next outgoing sequence number, per target.
   std::unordered_map<MobilePtr, std::uint32_t> next_seq_out_
       PREMA_GUARDED_BY(node_.state_mutex());

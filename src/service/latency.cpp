@@ -1,5 +1,6 @@
 #include "service/latency.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -86,12 +87,14 @@ double LatencyHistogram::percentile(double q) const {
   auto rank = static_cast<std::uint64_t>(
       std::ceil(q * static_cast<double>(count_)));
   if (rank < 1) rank = 1;
+  // A bucket's midpoint can lie outside the samples it holds; no quantile
+  // may report less than the smallest or more than the largest one seen.
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < kBuckets; ++i) {
     seen += counts_[i];
-    if (seen >= rank) return representative(i);
+    if (seen >= rank) return std::clamp(representative(i), min_, max_);
   }
-  return representative(kBuckets - 1);
+  return max_;  // unreachable: rank <= count_
 }
 
 double LatencyHistogram::mean() const {

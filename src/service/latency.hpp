@@ -52,7 +52,7 @@ class LatencyHistogram {
 
   /// Quantile q in (0, 1]: walks buckets to the sample with 1-based rank
   /// ceil(q * count) and returns that bucket's representative (midpoint)
-  /// value. Deterministic; 0 on an empty histogram.
+  /// value, clamped to [min(), max()]. Deterministic; 0 on an empty histogram.
   [[nodiscard]] double percentile(double q) const;
 
   /// Mean reconstructed from bucket representatives (order-independent).

@@ -2,8 +2,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -12,10 +11,17 @@
 /// Deterministic pending-event set. Events firing at equal times are ordered
 /// by insertion sequence number, so a run is a pure function of the seed and
 /// the program — the property every experiment in EXPERIMENTS.md relies on.
+///
+/// Layout: callbacks live in a slot table recycled through a free list; the
+/// heap holds only 16-byte (time, id) keys. An id carries its slot in the low
+/// kSlotBits and the insertion sequence above them, so ordering keys by
+/// (time, id) is ordering by (time, sequence). Cancelling frees the slot at
+/// once and leaves a stale key behind, recognised on reaching the top because
+/// its slot no longer holds its id.
 
 namespace prema::sim {
 
-/// Handle that can be used to cancel a scheduled event (lazy cancellation).
+/// Handle that can be used to cancel a scheduled event.
 using EventId = std::uint64_t;
 
 inline constexpr EventId kNoEvent = 0;
@@ -25,8 +31,8 @@ class EventQueue {
   /// Schedule `fn` to fire at absolute time `t`. Returns a cancellation id.
   EventId schedule(SimTime t, std::function<void()> fn);
 
-  /// Lazily cancel a scheduled event. Cancelling an already-fired or unknown
-  /// id is allowed and does nothing.
+  /// Cancel a scheduled event. Cancelling an already-fired, already-cancelled
+  /// or unknown id is allowed and does nothing.
   void cancel(EventId id);
 
   [[nodiscard]] bool empty() const { return live_count_ == 0; }
@@ -43,24 +49,36 @@ class EventQueue {
   std::pair<SimTime, std::function<void()>> pop();
 
  private:
-  struct Entry {
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr EventId kSlotMask = (EventId{1} << kSlotBits) - 1;
+
+  struct Key {
     SimTime time;
     EventId id;
-    std::function<void()> fn;
-    bool operator>(const Entry& o) const {
+    /// Heap comparator (std heaps are max-heaps): "fires later than".
+    bool operator>(const Key& o) const {
       if (time != o.time) return time > o.time;
       return id > o.id;
     }
   };
 
-  /// Pop cancelled entries off the top so the head is a live event.
+  struct Slot {
+    EventId id = kNoEvent;  ///< the live event occupying it, or kNoEvent
+    std::function<void()> fn;
+  };
+
+  static std::size_t slot_of(EventId id) {
+    return static_cast<std::size_t>(id & kSlotMask);
+  }
+
+  /// Pop stale keys off the top so the head is a live event.
   void skim() const;
 
-  mutable std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  mutable std::unordered_set<EventId> cancelled_;
-  std::unordered_set<EventId> live_;
+  mutable std::vector<Key> heap_;  ///< binary min-heap on (time, id)
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::size_t live_count_ = 0;
-  EventId next_id_ = 1;
+  EventId next_seq_ = 1;  ///< starts at 1, so no id equals kNoEvent
 };
 
 }  // namespace prema::sim

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -119,6 +122,120 @@ TEST(Scheduler, MigratableLoadsExcludeExecutingObject) {
   // Sorted heaviest first.
   EXPECT_EQ(loads[0].ptr, a);
   EXPECT_DOUBLE_EQ(loads[0].weight, 5.0);
+}
+
+TEST(Scheduler, RoundRobinGoldenOverUnevenQueues) {
+  Scheduler s;
+  const mol::MobilePtr a{0, 1}, b{0, 2}, c{0, 3};
+  s.enqueue(make_delivery(a, 1.0, 0));
+  s.enqueue(make_delivery(b, 1.0, 0));
+  s.enqueue(make_delivery(a, 1.0, 1));
+  s.enqueue(make_delivery(c, 1.0, 0));
+  s.enqueue(make_delivery(a, 1.0, 2));
+  s.enqueue(make_delivery(c, 1.0, 1));
+  std::vector<std::pair<mol::MobilePtr, std::uint64_t>> order;
+  const auto pick_one = [&] {
+    auto d = s.pick();
+    ASSERT_TRUE(d.has_value());
+    order.emplace_back(d->target, d->delivery_no);
+    s.complete();
+  };
+  for (int i = 0; i < 3; ++i) pick_one();
+  // `b` drained; a new unit puts it back at the tail of the rotation.
+  s.enqueue(make_delivery(b, 1.0, 1));
+  while (s.has_work()) pick_one();
+  const std::vector<std::pair<mol::MobilePtr, std::uint64_t>> golden = {
+      {a, 0}, {b, 0}, {c, 0}, {a, 1}, {c, 1}, {b, 1}, {a, 2}};
+  EXPECT_EQ(order, golden);
+  EXPECT_EQ(s.queued_units(), 0u);
+  EXPECT_EQ(s.queued_weight(), 0.0);
+}
+
+TEST(Scheduler, MatchesReferenceModelUnderRandomOps) {
+  // Reference: per-object FIFOs in an ordered map plus a round-robin ready
+  // list, with running aggregates updated in the same order as the
+  // scheduler's so the weights compare exactly.
+  struct Unit {
+    std::uint64_t no;
+    double weight;
+  };
+  std::map<mol::MobilePtr, std::deque<Unit>> ref;
+  std::deque<mol::MobilePtr> ready;
+  std::size_t units = 0;
+  double weight = 0.0;
+  std::map<mol::MobilePtr, std::uint64_t> next_no;
+  mol::MobilePtr executing = mol::kNullMobilePtr;  // null: nothing picked
+
+  Scheduler s;
+  std::mt19937_64 rng(2003);
+  const double weights[] = {0.0, 0.5, 1.0, 2.25, 3.0};
+  for (int op = 0; op < 10000; ++op) {
+    const mol::MobilePtr ptr{0, static_cast<std::uint32_t>(rng() % 6)};
+    const auto r = rng() % 10;
+    if (r < 5) {
+      const double w = weights[rng() % 5];
+      s.enqueue(make_delivery(ptr, w, next_no[ptr]));
+      auto& q = ref[ptr];
+      if (q.empty()) ready.push_back(ptr);
+      q.push_back({next_no[ptr]++, w});
+      ++units;
+      weight += w;
+    } else if (r < 7) {
+      if (!executing.is_null()) {
+        s.complete();
+        executing = mol::kNullMobilePtr;
+      }
+      auto d = s.pick();
+      ASSERT_EQ(d.has_value(), !ready.empty());
+      if (!d) continue;
+      const mol::MobilePtr head = ready.front();
+      ready.pop_front();
+      auto& q = ref[head];
+      ASSERT_EQ(d->target, head);
+      ASSERT_EQ(d->delivery_no, q.front().no);
+      --units;
+      weight -= q.front().weight;
+      if (units == 0 || weight < 0.0) weight = 0.0;
+      q.pop_front();
+      if (!q.empty()) ready.push_back(head);
+      executing = head;
+    } else if (r < 8) {
+      if (executing == ptr) continue;
+      const auto taken = s.take_queued(ptr);
+      auto& q = ref[ptr];
+      ASSERT_EQ(taken.size(), q.size());
+      for (std::size_t i = 0; i < taken.size(); ++i) {
+        ASSERT_EQ(taken[i].delivery_no, q[i].no);
+        --units;
+        weight -= q[i].weight;
+      }
+      if (!q.empty() && (units == 0 || weight < 0.0)) weight = 0.0;
+      q.clear();
+      ready.erase(std::remove(ready.begin(), ready.end(), ptr), ready.end());
+    } else {
+      std::vector<Scheduler::ObjectLoad> expect;
+      for (const auto& [p, q] : ref) {
+        if (q.empty() || executing == p) continue;
+        Scheduler::ObjectLoad l;
+        l.ptr = p;
+        l.units = q.size();
+        for (const auto& u : q) l.weight += u.weight;
+        if (l.weight > 0.0) expect.push_back(l);
+      }
+      std::stable_sort(expect.begin(), expect.end(),
+                       [](const auto& x, const auto& y) { return x.weight > y.weight; });
+      const auto got = s.migratable_loads();
+      ASSERT_EQ(got.size(), expect.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].ptr, expect[i].ptr) << "op " << op << " row " << i;
+        ASSERT_EQ(got[i].units, expect[i].units);
+        ASSERT_EQ(got[i].weight, expect[i].weight);
+      }
+    }
+    ASSERT_EQ(s.queued_units(), units);
+    ASSERT_EQ(s.queued_weight(), weight) << "op " << op;
+    ASSERT_EQ(s.has_work(), !ready.empty());
+  }
 }
 
 TEST(SchedulerDeathTest, GuardsMisuse) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -369,6 +370,54 @@ TEST(Mol, MigrationCarriesOrderingState) {
   }
   EXPECT_EQ(h.seen[0].at, 0);
   EXPECT_EQ(h.seen[5].at, 2);
+}
+
+TEST(Mol, LocalPtrsStaySortedAcrossMigrationsInAndOut) {
+  // Rank 0 creates six objects, sends some away (one of them on to a third
+  // rank) and receives one of rank 1's; every rank's local_ptrs() must come
+  // back in pointer order whatever the directory's internal layout.
+  MolHarness h(3);
+  std::vector<MobilePtr> own;
+  MobilePtr guest;
+  h.run({
+      [&](dmcs::Node& n) {
+        for (int i = 0; i < 6; ++i) {
+          own.push_back(h.layer->at(0).add_object(std::make_unique<Counter>(i)));
+        }
+        h.layer->at(0).migrate(own[1], 1);
+        h.layer->at(0).migrate(own[4], 2);
+        n.compute_seconds(0.01, util::TimeCategory::kCallback);  // let it land
+        h.send_migrate_cmd(n, 1, own[1], 2);                      // 0 -> 1 -> 2
+      },
+      [&](dmcs::Node&) {
+        for (int i = 0; i < 3; ++i) {
+          const auto ptr = h.layer->at(1).add_object(std::make_unique<Counter>(10 + i));
+          if (i == 1) guest = ptr;
+        }
+        h.layer->at(1).migrate(guest, 0);
+      },
+  });
+  const auto sorted = [](std::vector<MobilePtr> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  const std::vector<MobilePtr> at0 = {own[0], own[2], own[3], own[5], guest};
+  const std::vector<MobilePtr> at1 = {MobilePtr{1, 0}, MobilePtr{1, 2}};
+  const std::vector<MobilePtr> at2 = {own[1], own[4]};
+  EXPECT_EQ(h.layer->at(0).local_ptrs(), sorted(at0));
+  EXPECT_EQ(h.layer->at(1).local_ptrs(), sorted(at1));
+  EXPECT_EQ(h.layer->at(2).local_ptrs(), sorted(at2));
+  for (ProcId p = 0; p < 3; ++p) {
+    const auto ptrs = h.layer->at(p).local_ptrs();
+    EXPECT_TRUE(std::is_sorted(ptrs.begin(), ptrs.end())) << "rank " << p;
+    EXPECT_EQ(ptrs.size(), h.layer->at(p).local_count());
+  }
+  // The home's directory, refreshed by rank 2's install notice, wins over the
+  // forwarding address rank 0 recorded when own[1] left for rank 1.
+  EXPECT_EQ(h.layer->at(0).location_hint(own[1]), 2);
+  EXPECT_EQ(h.layer->at(0).location_hint(own[4]), 2);
+  EXPECT_EQ(h.layer->at(0).location_hint(own[0]), 0);
+  EXPECT_EQ(h.layer->at(1).location_hint(guest), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -136,6 +136,18 @@ TEST(LatencyHistogram, PercentileGoldens) {
   EXPECT_DOUBLE_EQ(empty.percentile(0.99), 0.0);
 }
 
+TEST(LatencyHistogram, PercentilesStayWithinTheObservedRange) {
+  // One 726.8 ms sample: its bucket's midpoint lies above it, so an
+  // unclamped p999 would report more than was ever observed.
+  LatencyHistogram h;
+  h.record(0.7268);
+  const std::size_t b = LatencyHistogram::bucket_index(0.7268);
+  ASSERT_GT(0.5 * (LatencyHistogram::bucket_lower(b) + LatencyHistogram::bucket_upper(b)),
+            0.7268);
+  EXPECT_EQ(h.percentile(0.999), h.max());
+  for (const double q : {0.0, 0.5, 0.99, 1.0}) EXPECT_EQ(h.percentile(q), 0.7268) << q;
+}
+
 // ---------------------------------------------------------------------------
 // ArrivalGenerator: determinism and model shape
 // ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -71,6 +74,76 @@ TEST(EventQueue, NextTimeSkipsCancelled) {
   q.schedule(2.0, [] {});
   q.cancel(a);
   EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
+}
+
+TEST(EventQueue, ReusedSlotIgnoresTheCancelledHandle) {
+  EventQueue q;
+  int a_fired = 0;
+  int b_fired = 0;
+  const EventId a = q.schedule(1.0, [&] { ++a_fired; });
+  q.cancel(a);
+  const EventId b = q.schedule(2.0, [&] { ++b_fired; });
+  ASSERT_NE(a, b);
+  // Ids carry their slot in the low 24 bits: B took over A's freed slot.
+  ASSERT_EQ(a & 0xFFFFFFu, b & 0xFFFFFFu);
+  q.cancel(a);  // A's handle must not reach B through the shared slot
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_DOUBLE_EQ(q.next_time(), 2.0);  // A's stale key at 1.0 is skipped
+  while (!q.empty()) q.run_next();
+  EXPECT_EQ(a_fired, 0);
+  EXPECT_EQ(b_fired, 1);
+  q.cancel(b);  // fired: harmless
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, MatchesReferenceModelUnderRandomOps) {
+  // Reference: a multimap keeps equal times in insertion order, which is the
+  // queue's documented tie-break.
+  EventQueue q;
+  std::multimap<double, std::uint64_t> ref;  // time -> sequence
+  std::vector<std::pair<EventId, std::pair<double, std::uint64_t>>> issued;
+  std::mt19937_64 rng(20031);
+  std::uint64_t fired = ~std::uint64_t{0};
+  const auto fire_and_check = [&](bool via_pop) {
+    const auto head = ref.begin();
+    ASSERT_DOUBLE_EQ(q.next_time(), head->first);
+    if (via_pop) {
+      auto [t, fn] = q.pop();
+      ASSERT_DOUBLE_EQ(t, head->first);
+      fn();
+    } else {
+      ASSERT_DOUBLE_EQ(q.run_next(), head->first);
+    }
+    ASSERT_EQ(fired, head->second);
+    ref.erase(head);
+  };
+  for (std::uint64_t seq = 0, op = 0; op < 10000; ++op) {
+    const auto r = rng() % 10;
+    if (r < 5) {
+      const auto t = static_cast<double>(rng() % 8);  // many equal times
+      const EventId id = q.schedule(t, [&fired, seq] { fired = seq; });
+      issued.push_back({id, {t, seq}});
+      ref.emplace(t, seq);
+      ++seq;
+    } else if (r < 7) {
+      if (issued.empty()) continue;
+      // Live, fired or already cancelled: only a live one may disappear.
+      const auto& [id, key] = issued[rng() % issued.size()];
+      q.cancel(id);
+      for (auto [it, end] = ref.equal_range(key.first); it != end; ++it) {
+        if (it->second == key.second) {
+          ref.erase(it);
+          break;
+        }
+      }
+    } else if (!ref.empty()) {
+      ASSERT_NO_FATAL_FAILURE(fire_and_check(r == 9));
+    }
+    ASSERT_EQ(q.size(), ref.size());
+    ASSERT_EQ(q.empty(), ref.empty());
+  }
+  while (!ref.empty()) ASSERT_NO_FATAL_FAILURE(fire_and_check(false));
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(NetworkModel, CostsScaleWithSize) {
