@@ -17,7 +17,7 @@
 /// Flags: --smoke                  CI-sized problem (16 procs x 108 units,
 ///                                 same panel structure). fig3 timings,
 ///                                 RelWithDebInfo on a 4-core x86-64 VM:
-///                                 smoke 0.03 s (3-4 s under --policy=sfc),
+///                                 smoke 0.03 s (about 2 s under --policy=sfc),
 ///                                 paper scale 3.6-4.1 s (over 15 minutes
 ///                                 under --policy=sfc; see EXPERIMENTS.md).
 ///        --trace-out=<file>       export a Chrome/Perfetto trace per panel

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "dmcs/sim_machine.hpp"
+#include "ilb/balancer.hpp"
 #include "ilb/policies/sfc.hpp"
 #include "ilb/scheduler.hpp"
 #include "mol/mol.hpp"
@@ -277,6 +278,106 @@ void BM_SfcCoordinatorRecut(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kSfcRanks * n);
 }
 BENCHMARK(BM_SfcCoordinatorRecut)->Arg(54)->Arg(864);
+
+// ---------------------------------------------------------------------------
+// Balancer framework paths around a policy: policy wire framing and the
+// gossip digest, over a processor that drops what is sent.
+// ---------------------------------------------------------------------------
+
+/// One processor whose clock the benchmark advances by hand; sends are
+/// counted and dropped.
+class DropNode final : public dmcs::Node {
+ public:
+  DropNode(ProcId rank, int nprocs) : Node(rank, nprocs) {}
+  [[nodiscard]] double now() const override { return now_; }
+  [[nodiscard]] util::Rng& rng() override { return rng_; }
+  [[nodiscard]] util::TimeLedger& ledger() override { return ledger_; }
+  [[nodiscard]] const dmcs::PollingConfig& polling() const override { return polling_; }
+  [[nodiscard]] dmcs::HandlerRegistry& registry() override { return registry_; }
+  void send(ProcId, dmcs::Message msg) override {
+    benchmark::DoNotOptimize(msg.payload.data());
+    ++sends_;
+  }
+  void send_self_after(double, dmcs::Message) override {}
+  void cancel_timers() override {}
+  void compute(double, util::TimeCategory) override {}
+  void compute_seconds(double, util::TimeCategory) override {}
+  void execute(dmcs::Message&&, std::function<void()>) override {}
+  [[nodiscard]] bool executing() const override { return false; }
+  [[nodiscard]] std::size_t inbox_size() const override { return 0; }
+
+  double now_ = 0.0;
+  std::int64_t sends_ = 0;
+
+ private:
+  util::Rng rng_;
+  util::TimeLedger ledger_;
+  dmcs::PollingConfig polling_;
+  dmcs::HandlerRegistry registry_;
+};
+
+/// A topology policy that decides nothing: a poll is the framework's work.
+class QuietTopologyPolicy final : public ilb::Policy {
+ public:
+  [[nodiscard]] std::string_view name() const override { return "quiet"; }
+  void on_message(ilb::PolicyContext&, ProcId, ilb::PolicyTag, util::ByteReader&) override {}
+  [[nodiscard]] bool wants_topology() const override { return true; }
+  void on_gossip(ilb::PolicyContext&, const ilb::GossipSummary&) override {}
+};
+
+class Blank final : public mol::MobileObject {
+ public:
+  [[nodiscard]] std::uint32_t type_id() const override { return 1; }
+  void serialize(util::ByteWriter&) const override {}
+};
+
+/// Rank 0 of `nprocs`: a balancer over a DropNode, an empty scheduler and a
+/// MOL with topology accounting on.
+struct BalancerRig {
+  explicit BalancerRig(int nprocs)
+      : node(0, nprocs),
+        mol(node, types, 0, 0, 0, 0, 0),
+        balancer(node, mol, sched, std::make_unique<QuietTopologyPolicy>(),
+                 ilb::BalancerConfig{}, 1) {
+    mol.enable_topology();
+  }
+  DropNode node;
+  mol::ObjectTypeRegistry types;
+  mol::Mol mol;
+  ilb::Scheduler sched;
+  ilb::Balancer balancer;
+};
+
+void BM_BalancerSendPolicy(benchmark::State& state) {
+  // One policy message: the caller's body (copied in, as a policy hands
+  // over a freshly built one) framed behind its tag and sent.
+  BalancerRig rig(kSfcRanks);
+  const std::vector<std::uint8_t> body(static_cast<std::size_t>(state.range(0)), 0x5A);
+  for (auto _ : state) rig.balancer.send_policy(1, 20, body);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_BalancerSendPolicy)->Arg(48)->Arg(4096);
+
+void BM_GossipDigest(benchmark::State& state) {
+  // One gossip round on a 16-rank machine: read every resident object's
+  // coordinates, average them and send the digest to the 15 peers.
+  const int n = static_cast<int>(state.range(0));
+  BalancerRig rig(kSfcRanks);
+  for (int i = 0; i < n; ++i) {
+    const auto ptr = rig.mol.add_object(std::make_unique<Blank>());
+    rig.mol.set_coords(ptr, {(i + 0.5) / n, 0.5, 0.5});
+  }
+  rig.balancer.init();
+  for (auto _ : state) {
+    rig.balancer.poll();
+    rig.node.now_ += 1.0;  // past the gossip interval: every poll gossips
+  }
+  if (rig.node.sends_ != static_cast<std::int64_t>(state.iterations()) * (kSfcRanks - 1)) {
+    state.SkipWithError("not every poll gossiped");
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_GossipDigest)->Arg(54)->Arg(864);
 
 }  // namespace
 

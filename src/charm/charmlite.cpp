@@ -314,8 +314,9 @@ void Runtime::handle_sync_contribution(dmcs::Node& n, Message&& msg) {
 
   ByteWriter w;
   w.put_vector(assignment);
+  const auto body = w.take();
   for (ProcId p = 0; p < machine_.nprocs(); ++p) {
-    n.send(p, Message{assign_h_, 0, MsgKind::kSystem, w.bytes()});
+    n.send(p, Message{assign_h_, 0, MsgKind::kSystem, body});
   }
   mig_done_reports_ = 0;
   db_where_ = assignment;

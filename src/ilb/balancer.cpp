@@ -1,5 +1,6 @@
 #include "ilb/balancer.hpp"
 
+#include <cstring>
 #include <utility>
 
 #include "support/assert.hpp"
@@ -117,14 +118,8 @@ void Balancer::migrate_object(const mol::MobilePtr& ptr, ProcId dst) {
     if (policy_name_id_ == 0) {
       policy_name_id_ = ts->recorder().intern(policy_->name());
     }
-    double weight = 0.0;
-    for (const auto& load : sched_.migratable_loads()) {
-      if (load.ptr == ptr) {
-        weight = load.weight;
-        break;
-      }
-    }
-    ts->policy_decision(node_.now(), dst, weight, policy_name_id_);
+    ts->policy_decision(node_.now(), dst, sched_.migratable_weight(ptr),
+                        policy_name_id_);
     ++migrations_this_round_;
   }
   mol_.migrate(ptr, dst);
@@ -132,10 +127,14 @@ void Balancer::migrate_object(const mol::MobilePtr& ptr, ProcId dst) {
 
 void Balancer::send_policy(ProcId dst, PolicyTag tag,
                            std::vector<std::uint8_t> body) {
-  ByteWriter w(body.size() + 1);
-  w.put<PolicyTag>(tag);
-  for (std::uint8_t b : body) w.put<std::uint8_t>(b);
-  node_.send(dst, dmcs::Message{wire_h_, node_.rank(), dmcs::MsgKind::kSystem, w.take()});
+  // The payload is the tag followed by the body, copied once.
+  std::vector<std::uint8_t> payload(sizeof(PolicyTag) + body.size());
+  std::memcpy(payload.data(), &tag, sizeof(PolicyTag));
+  if (!body.empty()) {
+    std::memcpy(payload.data() + sizeof(PolicyTag), body.data(), body.size());
+  }
+  node_.send(dst, dmcs::Message{wire_h_, node_.rank(), dmcs::MsgKind::kSystem,
+                                std::move(payload)});
 }
 
 void Balancer::charge_seconds(double seconds) {
@@ -159,34 +158,33 @@ void Balancer::maybe_gossip() {
   s.proc = node_.rank();
   s.t = t;
   s.load = local_load();
-  std::uint64_t with_coords = 0;
-  for (const mol::MobilePtr& ptr : mol_.local_ptrs()) {
-    ++s.objects;
-    if (const auto c = mol_.coords(ptr)) {
-      s.centroid.x += c->x;
-      s.centroid.y += c->y;
-      s.centroid.z += c->z;
-      ++with_coords;
-    }
-  }
-  if (with_coords > 0) {
-    s.centroid.x /= static_cast<double>(with_coords);
-    s.centroid.y /= static_cast<double>(with_coords);
-    s.centroid.z /= static_cast<double>(with_coords);
+  // Resident objects in ascending MobilePtr order, their coordinates read
+  // under one lock and summed in that order, so the centroid is the same
+  // bit for bit on every run.
+  const std::vector<mol::MobilePtr> resident = mol_.local_ptrs();
+  s.objects = resident.size();
+  const auto coords = mol_.comm_graph().sum_coords(resident);
+  s.centroid = coords.sum;
+  if (coords.count > 0) {
+    s.centroid.x /= static_cast<double>(coords.count);
+    s.centroid.y /= static_cast<double>(coords.count);
+    s.centroid.z /= static_cast<double>(coords.count);
   }
 
+  // One payload (tag + digest) for every peer.
+  ByteWriter w(sizeof(PolicyTag) + 6 * sizeof(double));
+  w.put<PolicyTag>(kGossipTag);
   // wire:ilb.gossip pack w
-  ByteWriter w;
   w.put<double>(s.t);
   w.put<double>(s.load);
   w.put<std::uint64_t>(s.objects);
   w.put<double>(s.centroid.x);
   w.put<double>(s.centroid.y);
   w.put<double>(s.centroid.z);
-  const auto body = w.take();
+  const auto payload = w.take();
   for (ProcId p = 0; p < node_.nprocs(); ++p) {
     if (p == node_.rank()) continue;
-    send_policy(p, kGossipTag, body);
+    node_.send(p, dmcs::Message{wire_h_, node_.rank(), dmcs::MsgKind::kSystem, payload});
   }
 }
 

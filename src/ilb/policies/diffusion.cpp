@@ -45,7 +45,8 @@ void DiffusionPolicy::announce_if_changed(PolicyContext& ctx) {
   last_announced_ = load;
   ByteWriter w;
   w.put<double>(load);
-  for (ProcId n : neighbors_) ctx.send_policy(n, kLoad, w.bytes());
+  const auto body = w.take();
+  for (ProcId n : neighbors_) ctx.send_policy(n, kLoad, body);
 }
 
 void DiffusionPolicy::push_towards(PolicyContext& ctx, ProcId neighbor) {

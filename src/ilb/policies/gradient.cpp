@@ -52,7 +52,8 @@ void GradientPolicy::refresh(PolicyContext& ctx, bool allow_increase) {
   last_announce_ = now;
   ByteWriter w;
   w.put<std::uint32_t>(proximity_);
-  for (ProcId n : neighbors_) ctx.send_policy(n, kProximity, w.bytes());
+  const auto body = w.take();
+  for (ProcId n : neighbors_) ctx.send_policy(n, kProximity, body);
 }
 
 void GradientPolicy::maybe_push(PolicyContext& ctx) {

@@ -74,6 +74,20 @@ std::vector<mol::Delivery> Scheduler::take_queued(const mol::MobilePtr& ptr) {
   return out;
 }
 
+double Scheduler::queued_weight_of(const ObjectQueue& q) {
+  double weight = 0.0;
+  for (std::size_t i = q.head; i < q.items.size(); ++i) weight += q.items[i].weight;
+  return weight;
+}
+
+double Scheduler::migratable_weight(const mol::MobilePtr& ptr) const {
+  if (executing_ && ptr == executing_ptr_) return 0.0;
+  const auto it = per_object_.find(ptr);
+  if (it == per_object_.end()) return 0.0;
+  const double weight = queued_weight_of(it->second);
+  return weight <= 0.0 ? 0.0 : weight;  // as migratable_loads() filters
+}
+
 std::vector<Scheduler::ObjectLoad> Scheduler::migratable_loads() const {
   std::vector<ObjectLoad> out;
   out.reserve(ready_.size());
@@ -83,7 +97,7 @@ std::vector<Scheduler::ObjectLoad> Scheduler::migratable_loads() const {
     ObjectLoad l;
     l.ptr = ptr;
     l.units = q.size();
-    for (std::size_t i = q.head; i < q.items.size(); ++i) l.weight += q.items[i].weight;
+    l.weight = queued_weight_of(q);
     // Zero-weight queues (pure control messages, e.g. a coordinator object)
     // carry no movable load; migrating them helps nobody.
     if (l.weight <= 0.0) continue;

@@ -52,6 +52,11 @@ class Scheduler {
   /// exactly the set a balancing policy may migrate.
   [[nodiscard]] std::vector<ObjectLoad> migratable_loads() const;
 
+  /// `ptr`'s weight as migratable_loads() reports it, without building the
+  /// list: its queued weights summed from 0.0 in queue order, or 0.0 when
+  /// it is executing, has no queued units or weighs nothing.
+  [[nodiscard]] double migratable_weight(const mol::MobilePtr& ptr) const;
+
   /// Load visible to the balancer: queued work only (the running unit is
   /// committed to this processor either way).
   [[nodiscard]] double load(bool use_weight) const {
@@ -81,6 +86,9 @@ class Scheduler {
     [[nodiscard]] bool empty() const { return head == items.size(); }
     [[nodiscard]] std::size_t size() const { return items.size() - head; }
   };
+
+  /// Units [head, end) weights summed from 0.0 in queue order.
+  static double queued_weight_of(const ObjectQueue& q);
 
   /// Looked up by pointer only, never iterated: every ordered walk goes
   /// through ready_, so hash order cannot reach a policy or a trace. An

@@ -27,6 +27,20 @@ std::optional<Coords> CommGraph::coords(const MobilePtr& ptr) const {
   return it->second;
 }
 
+CommGraph::CoordsSum CommGraph::sum_coords(std::span<const MobilePtr> ptrs) const {
+  util::LockGuard g(mu_);
+  CoordsSum s;
+  for (const MobilePtr& ptr : ptrs) {
+    const auto it = coords_.find(ptr);
+    if (it == coords_.end()) continue;
+    s.sum.x += it->second.x;
+    s.sum.y += it->second.y;
+    s.sum.z += it->second.z;
+    ++s.count;
+  }
+  return s;
+}
+
 CommGraph::ObjectSlice CommGraph::extract(const MobilePtr& ptr) {
   util::LockGuard g(mu_);
   ObjectSlice slice;

@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -81,6 +83,15 @@ class CommGraph {
   void set_coords(const MobilePtr& ptr, const Coords& c);
   [[nodiscard]] std::optional<Coords> coords(const MobilePtr& ptr) const;
 
+  /// Coordinates summed over those of `ptrs` that have them, and how many
+  /// did. One lock for the whole list; each axis sums from 0.0 in the order
+  /// of `ptrs`, so a caller passing a sorted list gets a reproducible sum.
+  struct CoordsSum {
+    Coords sum;
+    std::uint64_t count = 0;
+  };
+  [[nodiscard]] CoordsSum sum_coords(std::span<const MobilePtr> ptrs) const;
+
   /// Remove and return `ptr`'s slice of the graph (outbound migration).
   [[nodiscard]] ObjectSlice extract(const MobilePtr& ptr);
 
@@ -107,12 +118,15 @@ class CommGraph {
   /// Leaf lock `comm_mu`: below the node's state lock (the delivery path
   /// records under it), above nothing — no other lock is taken while held.
   mutable util::Mutex mu_;
-  /// Ordered maps throughout: policies iterate these snapshots to make
-  /// migration decisions, so iteration order must be deterministic.
+  /// Ordered maps for what policies iterate (the edges() and
+  /// proc_traffic() snapshots drive migration decisions, so their order
+  /// must be deterministic). extract() walks edges_ by source too.
   std::map<std::pair<MobilePtr, MobilePtr>, EdgeCount> edges_
       PREMA_GUARDED_BY(mu_);
-  std::map<MobilePtr, Coords> coords_ PREMA_GUARDED_BY(mu_);
   std::map<ProcId, EdgeCount> by_proc_ PREMA_GUARDED_BY(mu_);
+  /// Looked up by pointer only, never iterated, so hash order cannot reach
+  /// a policy, a trace or a wire image.
+  std::unordered_map<MobilePtr, Coords> coords_ PREMA_GUARDED_BY(mu_);
   std::uint64_t total_msgs_ PREMA_GUARDED_BY(mu_) = 0;
   std::uint64_t total_bytes_ PREMA_GUARDED_BY(mu_) = 0;
 };

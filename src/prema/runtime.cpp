@@ -499,8 +499,9 @@ void Runtime::term_start_wave(NodeRt& r0, std::uint64_t snapshot) {
   w.put<std::uint8_t>(kTermProbe);
   // wire:prema.term.probe pack w
   w.put<std::uint64_t>(c.wave);
+  const auto probe = w.take();
   for (ProcId p = 1; p < static_cast<ProcId>(c.sent.size()); ++p) {
-    term_send(0, p, w.bytes());
+    term_send(0, p, probe);
   }
   term_record_ack(r0, c.wave, self_sent, self_recv, self_idle);
 }
@@ -547,8 +548,9 @@ void Runtime::term_record_ack(NodeRt& r0, std::uint64_t wave, std::uint64_t sent
     term_detected_ = true;
     ByteWriter w;
     w.put<std::uint8_t>(kTermDone);
+    const auto done = w.take();
     for (ProcId p = 1; p < static_cast<ProcId>(c.sent.size()); ++p) {
-      term_send(0, p, w.bytes());
+      term_send(0, p, done);
     }
     // Locally wind down rank 0: no further balancing wakeups.
     r0.balancer->stop();

@@ -1,10 +1,12 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "support/assert.hpp"
@@ -15,6 +17,11 @@
 /// themselves through a Writer when they migrate and rebuild from a Reader on
 /// the destination; keeping the wire format explicit is what lets the thread
 /// backend and the discrete-event backend share all protocol code.
+///
+/// Every message payload passes through a ByteWriter, so `put` is on the
+/// hot path of the whole runtime: an append that fits is an inline bounds
+/// check and a memcpy; only growth (geometric, like std::vector's) calls
+/// into the vector.
 
 namespace prema::util {
 
@@ -52,24 +59,39 @@ class ByteWriter {
     append(v.data(), v.size() * sizeof(T));
   }
 
-  [[nodiscard]] std::size_t size() const { return bytes_.size(); }
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  /// The bytes written so far (valid until the next put or take).
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const {
+    return {bytes_.data(), size_};
+  }
 
-  /// Move the accumulated bytes out; the writer is left empty.
-  std::vector<std::uint8_t> take() { return std::move(bytes_); }
+  /// Move the accumulated bytes out; the writer is left empty and reusable.
+  std::vector<std::uint8_t> take() {
+    bytes_.resize(size_);  // shrinks only: drops the unwritten tail
+    size_ = 0;
+    return std::exchange(bytes_, {});
+  }
 
  private:
-  // resize + memcpy rather than vector::insert: the same bytes, and GCC 12's
-  // optimizer raises false -Wstringop-overflow/-Warray-bounds on the
-  // inlined range insert.
+  // bytes_ is sized to its high-water mark and size_ counts the bytes
+  // written, so an append that fits is a plain memcpy: no per-put
+  // vector::resize (out of line, zero-filling) and no inlined range insert
+  // (on which GCC 12's optimizer raises false -Wstringop-overflow).
   void append(const void* data, std::size_t n) {
     if (n == 0) return;
-    const std::size_t at = bytes_.size();
-    bytes_.resize(at + n);
-    std::memcpy(bytes_.data() + at, data, n);
+    if (bytes_.size() - size_ < n) grow(size_ + n);
+    std::memcpy(bytes_.data() + size_, data, n);
+    size_ += n;
+  }
+
+  /// Make room for `need` bytes: at least double the buffer, and fill any
+  /// capacity reserved up front, so appends stay amortized O(1).
+  void grow(std::size_t need) {
+    bytes_.resize(std::max({need, 2 * bytes_.size(), bytes_.capacity()}));
   }
 
   std::vector<std::uint8_t> bytes_;
+  std::size_t size_ = 0;
 };
 
 /// Sequential deserialization source over a byte span. Bounds-checked: reading

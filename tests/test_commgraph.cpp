@@ -73,6 +73,37 @@ TEST(CommGraph, CoordsRegisterOverwriteAndMiss) {
   EXPECT_DOUBLE_EQ(c->x, 1.0);
 }
 
+TEST(CommGraph, CoordsSurviveOverwriteExtractAndInstall) {
+  CommGraph src, dst;
+  const MobilePtr a{0, 0}, b{0, 1}, c{2, 7};
+  src.set_coords(a, {1.0, 2.0, 3.0});
+  src.set_coords(b, {4.0, 5.0, 6.0});
+  src.set_coords(a, {7.0, 8.0, 9.0});  // overwrite
+
+  // The slice carries the overwritten coordinates; the neighbour stays.
+  const auto slice = src.extract(a);
+  ASSERT_TRUE(slice.coords.has_value());
+  EXPECT_EQ(*slice.coords, (Coords{7.0, 8.0, 9.0}));
+  EXPECT_FALSE(src.coords(a).has_value());
+  EXPECT_EQ(src.coords(b), (Coords{4.0, 5.0, 6.0}));
+
+  // Install overwrites stale coordinates at the destination; a slice
+  // without coordinates leaves what is there.
+  dst.set_coords(a, {0.0, 0.0, 0.0});
+  dst.install(a, slice);
+  EXPECT_EQ(dst.coords(a), (Coords{7.0, 8.0, 9.0}));
+  dst.install(a, CommGraph::ObjectSlice{});
+  EXPECT_EQ(dst.coords(a), (Coords{7.0, 8.0, 9.0}));
+  EXPECT_FALSE(dst.coords(c).has_value());
+
+  // sum_coords skips objects without coordinates and counts the rest.
+  dst.set_coords(c, {1.0, 1.0, 1.0});
+  const std::vector<MobilePtr> ptrs{a, b, c};
+  const auto s = dst.sum_coords(ptrs);
+  EXPECT_EQ(s.count, 2u);
+  EXPECT_EQ(s.sum, (Coords{8.0, 9.0, 10.0}));
+}
+
 TEST(CommGraph, ExtractTakesOutgoingSliceAndShrinksTotals) {
   CommGraph g;
   const MobilePtr a{0, 0}, b{0, 1};

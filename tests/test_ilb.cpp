@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "dmcs/node.hpp"
+#include "ilb/balancer.hpp"
 #include "ilb/policies/cluster.hpp"
 #include "ilb/policies/diffusion.hpp"
 #include "ilb/policies/gradient.hpp"
@@ -18,6 +20,7 @@
 #include "ilb/policies/work_stealing.hpp"
 #include "ilb/policy.hpp"
 #include "ilb/scheduler.hpp"
+#include "mol/mol.hpp"
 
 namespace prema::ilb {
 namespace {
@@ -230,6 +233,16 @@ TEST(Scheduler, MatchesReferenceModelUnderRandomOps) {
         ASSERT_EQ(got[i].ptr, expect[i].ptr) << "op " << op << " row " << i;
         ASSERT_EQ(got[i].units, expect[i].units);
         ASSERT_EQ(got[i].weight, expect[i].weight);
+      }
+      // The per-object lookup agrees with the list for every object, listed
+      // or not (index 6 was never queued).
+      for (std::uint32_t i = 0; i <= 6; ++i) {
+        const mol::MobilePtr p{0, i};
+        double listed = 0.0;
+        for (const auto& l : got) {
+          if (l.ptr == p) listed = l.weight;
+        }
+        ASSERT_EQ(s.migratable_weight(p), listed) << "op " << op << " object " << i;
       }
     }
     ASSERT_EQ(s.queued_units(), units);
@@ -947,6 +960,125 @@ TEST(PolicyFactory, MakesEveryRegisteredPolicy) {
 
 TEST(PolicyFactoryDeathTest, UnknownNameAborts) {
   EXPECT_DEATH((void)make_policy("simulated_annealing"), "unknown");
+}
+
+// ---------------------------------------------------------------------------
+// Balancer framework paths: policy wire framing and the gossip digest
+// ---------------------------------------------------------------------------
+
+/// A processor at virtual time 0 that records what is sent from it instead
+/// of delivering it.
+class RecordingNode final : public dmcs::Node {
+ public:
+  RecordingNode(ProcId rank, int nprocs) : Node(rank, nprocs) {}
+  [[nodiscard]] double now() const override { return 0.0; }
+  [[nodiscard]] util::Rng& rng() override { return rng_; }
+  [[nodiscard]] util::TimeLedger& ledger() override { return ledger_; }
+  [[nodiscard]] const dmcs::PollingConfig& polling() const override { return polling_; }
+  [[nodiscard]] dmcs::HandlerRegistry& registry() override { return registry_; }
+  void send(ProcId dst, dmcs::Message msg) override { sent.emplace_back(dst, std::move(msg)); }
+  void send_self_after(double, dmcs::Message) override {}
+  void cancel_timers() override {}
+  void compute(double, util::TimeCategory) override {}
+  void compute_seconds(double, util::TimeCategory) override {}
+  void execute(dmcs::Message&&, std::function<void()>) override {}
+  [[nodiscard]] bool executing() const override { return false; }
+  [[nodiscard]] std::size_t inbox_size() const override { return 0; }
+
+  std::vector<std::pair<ProcId, dmcs::Message>> sent;
+
+ private:
+  util::Rng rng_;
+  util::TimeLedger ledger_;
+  dmcs::PollingConfig polling_;
+  dmcs::HandlerRegistry registry_;
+};
+
+/// A topology policy that decides nothing, so every message a poll sends
+/// is the framework's own.
+class QuietTopologyPolicy final : public Policy {
+ public:
+  [[nodiscard]] std::string_view name() const override { return "quiet"; }
+  void on_message(PolicyContext&, ProcId, PolicyTag, util::ByteReader&) override {}
+  [[nodiscard]] bool wants_topology() const override { return true; }
+  void on_gossip(PolicyContext&, const GossipSummary&) override {}
+};
+
+class Blank final : public mol::MobileObject {
+ public:
+  [[nodiscard]] std::uint32_t type_id() const override { return 1; }
+  void serialize(util::ByteWriter&) const override {}
+};
+
+/// One rank's balancer over a recording node, an empty scheduler and a MOL
+/// with topology accounting on.
+struct BalancerRig {
+  static constexpr dmcs::HandlerId kWireHandler = 7;
+  explicit BalancerRig(int nprocs)
+      : node(0, nprocs),
+        mol(node, types, 0, 0, 0, 0, 0),
+        balancer(node, mol, sched, std::make_unique<QuietTopologyPolicy>(),
+                 BalancerConfig{}, kWireHandler) {
+    mol.enable_topology();
+  }
+  RecordingNode node;
+  mol::ObjectTypeRegistry types;
+  mol::Mol mol;
+  Scheduler sched;
+  Balancer balancer;
+};
+
+TEST(Balancer, SendPolicyFramesTagThenBody) {
+  BalancerRig rig(2);
+  std::vector<std::uint8_t> big(64 * 1024);
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  rig.balancer.send_policy(1, 42, {});
+  rig.balancer.send_policy(1, 43, big);
+
+  ASSERT_EQ(rig.node.sent.size(), 2u);
+  for (const auto& [dst, msg] : rig.node.sent) {
+    EXPECT_EQ(dst, 1);
+    EXPECT_EQ(msg.handler, BalancerRig::kWireHandler);
+    EXPECT_EQ(msg.src, 0);
+    EXPECT_EQ(msg.kind, dmcs::MsgKind::kSystem);
+  }
+  EXPECT_EQ(rig.node.sent[0].second.payload, std::vector<std::uint8_t>{42});
+  std::vector<std::uint8_t> expect{43};
+  expect.insert(expect.end(), big.begin(), big.end());
+  EXPECT_EQ(rig.node.sent[1].second.payload, expect);
+}
+
+TEST(Balancer, GossipCentroidSumsInAscendingPointerOrder) {
+  // Each axis holds values whose float sum depends on the order of the
+  // additions: in ascending pointer order x = (1e17 - 1e17) + 1 = 1 and
+  // y = (1 + 1e17) - 1e17 = 0; descending gives x = 0 and y = 1. The
+  // fourth object has no coordinates: it counts as resident but not in
+  // the mean.
+  BalancerRig rig(3);
+  std::vector<mol::MobilePtr> ptrs;
+  for (int i = 0; i < 4; ++i) ptrs.push_back(rig.mol.add_object(std::make_unique<Blank>()));
+  rig.mol.set_coords(ptrs[0], {1e17, 1.0, 0.25});
+  rig.mol.set_coords(ptrs[1], {-1e17, 1e17, 0.5});
+  rig.mol.set_coords(ptrs[2], {1.0, -1e17, 0.75});
+  rig.balancer.init();
+  rig.balancer.poll();
+
+  // One digest per peer, the same bytes for each.
+  ASSERT_EQ(rig.node.sent.size(), 2u);
+  EXPECT_EQ(rig.node.sent[0].first, 1);
+  EXPECT_EQ(rig.node.sent[1].first, 2);
+  const auto& payload = rig.node.sent[0].second.payload;
+  EXPECT_EQ(rig.node.sent[1].second.payload, payload);
+  ASSERT_EQ(payload.size(), sizeof(PolicyTag) + 6 * sizeof(double));
+  util::ByteReader r(payload);
+  EXPECT_EQ(r.get<PolicyTag>(), Balancer::kGossipTag);
+  EXPECT_EQ(r.get<double>(), 0.0);  // t
+  EXPECT_EQ(r.get<double>(), 0.0);  // load: nothing queued
+  EXPECT_EQ(r.get<std::uint64_t>(), 4u);
+  EXPECT_EQ(r.get<double>(), 1.0 / 3.0);
+  EXPECT_EQ(r.get<double>(), 0.0);
+  EXPECT_EQ(r.get<double>(), 1.5 / 3.0);
+  EXPECT_TRUE(r.exhausted());
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "support/byte_buffer.hpp"
@@ -66,6 +68,45 @@ TEST(ByteBuffer, TakeLeavesWriterEmpty) {
   auto bytes = w.take();
   EXPECT_EQ(bytes.size(), sizeof(int));
   EXPECT_EQ(w.size(), 0u);
+}
+
+TEST(ByteBuffer, ManySmallPutsMatchGoldenAndTakeResets) {
+  // Thousands of 1-, 2- and 8-byte puts cross many growth steps; the golden
+  // is built value by value, independently of the writer's buffering.
+  auto append = [](std::vector<std::uint8_t>& out, const auto& v) {
+    const auto at = out.size();
+    out.resize(at + sizeof(v));
+    std::memcpy(out.data() + at, &v, sizeof(v));
+  };
+  for (const std::size_t reserve : {std::size_t{0}, std::size_t{5}, std::size_t{1} << 16}) {
+    ByteWriter w(reserve);
+    std::vector<std::uint8_t> golden;
+    for (std::uint32_t i = 0; i < 3000; ++i) {
+      const auto b = static_cast<std::uint8_t>(i * 37);
+      const auto h = static_cast<std::uint16_t>(i * 977);
+      const double d = i * 0.5 - 7.0;
+      w.put(b);
+      w.put(h);
+      w.put(d);
+      append(golden, b);
+      append(golden, h);
+      append(golden, d);
+    }
+    ASSERT_EQ(w.size(), golden.size());
+    EXPECT_TRUE(std::equal(w.bytes().begin(), w.bytes().end(), golden.begin()));
+    EXPECT_EQ(w.take(), golden) << "reserve " << reserve;
+    EXPECT_EQ(w.size(), 0u);
+    EXPECT_TRUE(w.bytes().empty());
+
+    // Reused after take: only the new bytes, none of the old.
+    w.put<std::uint32_t>(0xA1B2C3D4u);
+    w.put_string("ok");
+    ByteReader r(w.bytes());
+    EXPECT_EQ(r.get<std::uint32_t>(), 0xA1B2C3D4u);
+    EXPECT_EQ(r.get_string(), "ok");
+    EXPECT_TRUE(r.exhausted());
+    EXPECT_EQ(w.take().size(), sizeof(std::uint32_t) + sizeof(std::uint64_t) + 2);
+  }
 }
 
 TEST(Rng, DeterministicFromSeed) {
