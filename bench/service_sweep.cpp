@@ -53,7 +53,8 @@ ServiceScenario base_scenario(const std::string& backend, bool smoke) {
 
 /// Offered load as a utilization fraction of one processor's capacity.
 void set_utilization(ServiceScenario& sc, double util) {
-  const double mflops = sc.backend == "thread" ? sc.thread_mflops : sc.proc_mflops;
+  const double mflops =
+      sc.backend == "thread" ? kServiceThreadMflops : kServiceProcMflops;
   sc.arrivals.rate_per_proc = util * mflops / mean_cost_mflop(sc.arrivals);
 }
 

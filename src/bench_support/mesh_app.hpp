@@ -29,15 +29,6 @@ struct MeshAppConfig {
   /// Subdomain grid resolution per axis (grid^3 subdomains).
   int grid = 10;
   int phases = 5;
-  /// Boundary divisions per subdomain (>= 2 for general position).
-  int boundary_divisions = 2;
-  /// Crack sizing: fine size at the tip, background size, influence radius
-  /// (all in domain units; subdomain edge is 1/grid).
-  double h_min = 0.018;
-  double h_max = 0.18;
-  double crack_radius = 0.18;
-  double proc_mflops = 333.0;
-  double poll_interval_s = 10e-3;
   /// Stop-and-repartition tuning. The default cooldown approximates the
   /// classic usage the paper describes (§1): repartition once per refinement
   /// phase (phases here run ~10 s). Smaller cooldowns turn the baseline into

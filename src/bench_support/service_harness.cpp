@@ -17,6 +17,14 @@ using util::TimeCategory;
 
 namespace {
 
+/// Request shards per rank. Few and coarse: a hot shard is worth moving.
+constexpr int kShardsPerProc = 8;
+constexpr std::size_t kShardPayloadBytes = 512;
+/// Balancer low water-mark (the donate threshold is twice it). A request
+/// weighs its cost in Mflop, so a rank begs only once its queue runs dry.
+constexpr double kLowWatermark = 1.0;
+constexpr std::size_t kTraceCapacity = 1 << 16;
+
 /// A request shard: the mobile unit of service-mode load balancing. Carries
 /// no per-request state — just a blob that makes migration cost realistic —
 /// so the balancer's decision is purely about where its traffic should land.
@@ -52,10 +60,10 @@ ServiceReport run_on(dmcs::Machine& machine, const ServiceScenario& sc,
                      bool sim_backend, double mflops) {
   RuntimeConfig rcfg;
   rcfg.policy = sc.policy;
-  rcfg.balancer.low_watermark = sc.low_watermark;
-  rcfg.balancer.donate_threshold = 2 * sc.low_watermark;
+  rcfg.balancer.low_watermark = kLowWatermark;
+  rcfg.balancer.donate_threshold = 2 * kLowWatermark;
   rcfg.trace.enabled = !sc.trace_out.empty();
-  rcfg.trace.buffer_capacity = sc.trace_capacity;
+  rcfg.trace.buffer_capacity = kTraceCapacity;
   Runtime rt(machine, rcfg);
   rt.object_types().add(1, RequestShard::make);
 
@@ -100,17 +108,17 @@ ServiceReport run_on(dmcs::Machine& machine, const ServiceScenario& sc,
   // vector in main(); the outer vector is pre-sized so no reallocation races.
   std::vector<std::vector<mol::MobilePtr>> shards(
       static_cast<std::size_t>(sc.nprocs));
-  rt.set_main([&shards, &sc](Context& ctx) {
+  rt.set_main([&shards](Context& ctx) {
     auto& mine = shards[static_cast<std::size_t>(ctx.rank())];
-    mine.reserve(static_cast<std::size_t>(sc.shards_per_proc));
-    for (int i = 0; i < sc.shards_per_proc; ++i) {
+    mine.reserve(static_cast<std::size_t>(kShardsPerProc));
+    for (int i = 0; i < kShardsPerProc; ++i) {
       mine.push_back(ctx.add_object(
-          std::make_unique<RequestShard>(sc.shard_payload_bytes)));
+          std::make_unique<RequestShard>(kShardPayloadBytes)));
       // Shard coordinates: ranks along x, slots along y. A no-op unless a
       // scheduled policy wants topology, so registration is unconditional.
       mol::Coords c;
       c.x = (static_cast<double>(ctx.rank()) + 0.5) / ctx.nprocs();
-      c.y = (static_cast<double>(i) + 0.5) / sc.shards_per_proc;
+      c.y = (static_cast<double>(i) + 0.5) / kShardsPerProc;
       c.z = 0.5;
       ctx.set_coords(mine.back(), c);
     }
@@ -124,11 +132,11 @@ ServiceReport run_on(dmcs::Machine& machine, const ServiceScenario& sc,
   for (const auto& [t, name] : sc.policy_switches) {
     svc.policy_switches.push_back({t, name});
   }
-  svc.on_arrival = [&shards, &sc, request_h](Context& ctx,
-                                             const service::Arrival& a) {
+  svc.on_arrival = [&shards, request_h](Context& ctx,
+                                        const service::Arrival& a) {
     const auto& mine = shards[static_cast<std::size_t>(ctx.rank())];
     const auto slot = static_cast<std::size_t>(
-        mix_client(a.client) % static_cast<std::uint64_t>(sc.shards_per_proc));
+        mix_client(a.client) % static_cast<std::uint64_t>(kShardsPerProc));
     ByteWriter w;
     // wire:service.request pack w
     w.put<double>(ctx.now());
@@ -165,7 +173,7 @@ ServiceReport run_on(dmcs::Machine& machine, const ServiceScenario& sc,
     rep.load_series.push_back(ledger.at(p).load_series());
   }
   const auto total_shards =
-      static_cast<std::size_t>(sc.nprocs) * static_cast<std::size_t>(sc.shards_per_proc);
+      static_cast<std::size_t>(sc.nprocs) * static_cast<std::size_t>(kShardsPerProc);
   rep.audit_ok = totals.completions == totals.arrivals &&
                  resident == total_shards && in_transit == 0;
   rep.term_waves = rt.termination_waves();
@@ -199,22 +207,22 @@ ServiceReport run_service_scenario(const ServiceScenario& sc) {
   if (sc.backend == "sim") {
     sim::MachineConfig mcfg;
     mcfg.nprocs = sc.nprocs;
-    mcfg.mflops = sc.proc_mflops;
+    mcfg.mflops = kServiceProcMflops;
     mcfg.seed = sc.seed;
     dmcs::PollingConfig pcfg;
     pcfg.mode = dmcs::PollingMode::kPreemptive;
     dmcs::SimMachine machine(mcfg, pcfg);
     maybe_install_fault_plan(machine, sc);
-    return run_on(machine, sc, /*sim_backend=*/true, sc.proc_mflops);
+    return run_on(machine, sc, /*sim_backend=*/true, kServiceProcMflops);
   }
   dmcs::ThreadConfig tcfg;
   tcfg.nprocs = sc.nprocs;
-  tcfg.mflops = sc.thread_mflops;
+  tcfg.mflops = kServiceThreadMflops;
   tcfg.polling.mode = dmcs::PollingMode::kPreemptive;
   tcfg.seed = sc.seed;
   dmcs::ThreadMachine machine(tcfg);
   maybe_install_fault_plan(machine, sc);
-  return run_on(machine, sc, /*sim_backend=*/false, sc.thread_mflops);
+  return run_on(machine, sc, /*sim_backend=*/false, kServiceThreadMflops);
 }
 
 }  // namespace prema::bench

@@ -25,25 +25,21 @@
 
 namespace prema::bench {
 
+/// Emulated processor speed (sim backend; paper's 333 Mflops).
+inline constexpr double kServiceProcMflops = 333.0;
+/// Real-thread compute conversion rate (thread backend).
+inline constexpr double kServiceThreadMflops = 2000.0;
+
 struct ServiceScenario {
   std::string backend = "sim";  ///< "sim" | "thread"
   int nprocs = 16;
-  /// Emulated processor speed (sim backend; paper's 333 Mflops).
-  double proc_mflops = 333.0;
-  /// Real-thread compute conversion rate (thread backend).
-  double thread_mflops = 2000.0;
 
   service::ArrivalConfig arrivals;
   double duration_s = 0.5;
   double epoch_s = 25e-3;
 
-  /// Request shards per rank. Few and coarse: a hot shard is worth moving.
-  int shards_per_proc = 8;
-  std::size_t shard_payload_bytes = 512;
-
   /// Balancing policy registry name ("null" disables balancing).
   std::string policy = "work_stealing";
-  double low_watermark = 1.0;
 
   /// Mid-window policy switches, applied in time order at epoch ticks (see
   /// ServiceConfig::policy_switches). The topology-aware policies (sfc,
@@ -59,7 +55,6 @@ struct ServiceScenario {
 
   /// When non-empty, record and export a Chrome trace to this path.
   std::string trace_out;
-  std::size_t trace_capacity = 1 << 16;
 
   std::uint64_t seed = 2003;
 };

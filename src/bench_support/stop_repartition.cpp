@@ -17,6 +17,11 @@ using util::TimeCategory;
 
 namespace {
 
+/// Relative Cost Factor (alpha) for the unified repartitioner.
+constexpr double kAlpha = 1.0;
+/// Completion counts are batched to the root every this many units.
+constexpr int kCompletionBatch = 32;
+
 void put_ptr(ByteWriter& w, const mol::MobilePtr& p) {
   w.put<ProcId>(p.home);
   w.put<std::uint32_t>(p.index);
@@ -67,7 +72,7 @@ class Runtime::Program final : public dmcs::Program {
     n.execute(Message{rt_.exec_h_, n.rank(), MsgKind::kApp, {}}, [this, &n] {
       node_.sched.complete();
       ++node_.completions_since_report;
-      if (node_.completions_since_report >= rt_.cfg_.completion_batch) {
+      if (node_.completions_since_report >= kCompletionBatch) {
         ByteWriter w;
         w.put<std::int64_t>(node_.completions_since_report);
         node_.completions_since_report = 0;
@@ -156,8 +161,6 @@ Runtime::NodeRt& Runtime::rt(ProcId p) {
   return *nodes_[static_cast<std::size_t>(p)];
 }
 
-ilb::Scheduler& Runtime::scheduler_at(ProcId p) { return rt(p).sched; }
-
 mol::ObjectHandlerId Runtime::register_object_handler(const std::string& name,
                                                       ObjectHandler fn) {
   for (const auto& existing : handler_names_) {
@@ -191,7 +194,7 @@ double Runtime::run() {
 void Runtime::maybe_notify_low(dmcs::Node& n) {
   NodeRt& r = rt(n.rank());
   if (r.low_notified || r.halted) return;
-  if (r.sched.load(cfg_.use_weight) >= cfg_.low_watermark) return;
+  if (r.sched.load() >= cfg_.low_watermark) return;
   r.low_notified = true;
   n.send(0, Message{low_h_, n.rank(), MsgKind::kSystem, {}});
 }
@@ -296,7 +299,7 @@ void Runtime::root_finish_gather(dmcs::Node& n) {
   const auto g = gb.build();
   part::AdaptiveOptions aopts;
   aopts.k = machine_.nprocs();
-  aopts.alpha = cfg_.alpha;
+  aopts.alpha = kAlpha;
   const auto res = part::adaptive_repartition(g, old_part, aopts);
 
   // The repartitioner runs in parallel on all processors; each is charged a
@@ -384,7 +387,6 @@ void Runtime::on_resume(dmcs::Node& n, Message&&) {
   NodeRt& r = rt(n.rank());
   r.halted = false;
   r.expected.clear();
-  r.low_notified = r.sched.load(cfg_.use_weight) < cfg_.low_watermark;
   // A processor that is still starved after the exchange may notify again
   // (after the root's cooldown) — the repeated-synchronization pathology.
   r.low_notified = false;

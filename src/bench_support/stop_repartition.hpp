@@ -58,19 +58,13 @@ using ObjectHandler = std::function<void(Context&, mol::MobileObject&,
                                          util::ByteReader&, const mol::Delivery&)>;
 
 struct SrpConfig {
-  /// Queued load below which a processor notifies the root.
+  /// Queued load (weight hints) below which a processor notifies the root.
   double low_watermark = 2.0;
-  /// Use weight hints (true) or unit counts for the load/notify decision.
-  bool use_weight = true;
   /// The root declines to balance when the outstanding fraction of total
   /// work-unit count drops below this.
   double min_outstanding_fraction = 0.10;
   /// Minimum time between two global exchanges.
   double cooldown_s = 15.0;
-  /// Relative Cost Factor for the unified repartitioner.
-  double alpha = 1.0;
-  /// Completion counts are batched to the root every this many units.
-  int completion_batch = 32;
   /// Emulated compute rate used for the modeled partitioner cost.
   double proc_mflops = 333.0;
 };
@@ -94,11 +88,8 @@ class Runtime {
   // -- introspection --------------------------------------------------------
   [[nodiscard]] int exchanges() const { return exchanges_; }
   [[nodiscard]] int repartitions() const { return repartitions_; }
-  [[nodiscard]] int declined() const { return exchanges_ - repartitions_; }
   [[nodiscard]] std::uint64_t migrations() const { return migrations_; }
   [[nodiscard]] mol::Mol& mol_at(ProcId p) { return mol_layer_->at(p); }
-  [[nodiscard]] ilb::Scheduler& scheduler_at(ProcId p);
-  [[nodiscard]] const SrpConfig& config() const { return cfg_; }
 
  private:
   struct NodeRt;

@@ -48,6 +48,12 @@ const char* system_panel(System s) {
 
 namespace {
 
+/// Real-thread compute conversion rate (backend == "thread").
+constexpr double kThreadMflops = 2000.0;
+/// Weight hint every unit claims, heavy or light: the paper's deliberately
+/// inaccurate setting (§5), so no balancer can predict a unit's cost.
+constexpr double kUnitHint = 1.0;
+
 /// The benchmark's work unit as a PREMA/SRP mobile object: its cost and a
 /// data blob that makes migration cost realistic.
 class WorkUnit : public mol::MobileObject {
@@ -179,7 +185,7 @@ RunReport run_prema_family(System sys, const SyntheticConfig& cfg) {
   } else {
     dmcs::ThreadConfig tcfg;
     tcfg.nprocs = cfg.nprocs;
-    tcfg.mflops = cfg.thread_mflops;
+    tcfg.mflops = kThreadMflops;
     tcfg.polling = pcfg;
     tcfg.seed = cfg.seed;
     owner = std::make_unique<dmcs::ThreadMachine>(tcfg);
@@ -225,8 +231,7 @@ RunReport run_prema_family(System sys, const SyntheticConfig& cfg) {
       auto ptr = ctx.add_object(
           std::make_unique<WorkUnit>(mflop, cfg.unit_payload_bytes));
       ctx.set_coords(ptr, unit_coords(g, total));
-      const double hint = cfg.accurate_hints ? mflop / cfg.light_mflop : 1.0;
-      ctx.message(ptr, work, {}, hint);
+      ctx.message(ptr, work, {}, kUnitHint);
     }
     (void)rt;
   });
@@ -276,7 +281,6 @@ RunReport run_srp(const SyntheticConfig& cfg) {
   scfg.low_watermark = cfg.low_watermark;
   scfg.min_outstanding_fraction = cfg.srp_min_outstanding;
   scfg.cooldown_s = cfg.srp_cooldown_s;
-  scfg.alpha = cfg.srp_alpha;
   scfg.proc_mflops = cfg.proc_mflops;
   srp::Runtime rt(machine, scfg);
   rt.object_types().add(1, WorkUnit::make);
@@ -298,8 +302,7 @@ RunReport run_srp(const SyntheticConfig& cfg) {
       const double mflop = unit_mflop(cfg, g, total);
       auto ptr = ctx.add_object(
           std::make_unique<WorkUnit>(mflop, cfg.unit_payload_bytes));
-      const double hint = cfg.accurate_hints ? mflop / cfg.light_mflop : 1.0;
-      ctx.message(ptr, work, {}, hint);
+      ctx.message(ptr, work, {}, kUnitHint);
     }
   });
 

@@ -47,17 +47,12 @@ struct SyntheticConfig {
   /// Machine backend for the PREMA systems: "sim" (emulated, deterministic)
   /// or "thread" (real OS threads). SRP/Charm panels are sim-only.
   std::string backend = "sim";
-  /// Real-thread compute conversion rate (backend == "thread").
-  double thread_mflops = 2000.0;
   /// Fraction of all work units that are heavy (0.5 or 0.1 in the paper).
   double heavy_fraction = 0.5;
   double heavy_mflop = 500.0;
   double light_mflop = 250.0;
   /// Emulated processor speed (333 MHz UltraSPARC IIi).
   double proc_mflops = 333.0;
-  /// Hints the balancers see: false = all units claim weight 1.0 (the
-  /// paper's deliberately inaccurate setting), true = true Mflop.
-  bool accurate_hints = false;
   /// Data carried by each work unit (object migration size).
   std::size_t unit_payload_bytes = 1024;
   /// PREMA implicit-mode polling-thread period.
@@ -77,7 +72,6 @@ struct SyntheticConfig {
   /// Stop-and-repartition tuning (§3.1 / §5).
   double srp_min_outstanding = 0.06;
   double srp_cooldown_s = 15.0;
-  double srp_alpha = 1.0;
   std::uint64_t seed = 2003;
   /// When non-empty, record an event trace of each run and export Chrome
   /// trace-event JSON to a per-panel file derived from this base path (see

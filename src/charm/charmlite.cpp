@@ -20,6 +20,12 @@ using util::TimeCategory;
 
 namespace {
 
+/// Extra per-entry scheduling overhead (pick-and-process bookkeeping).
+constexpr double kSchedulingCostS = 2e-6;
+/// RefineLB threshold: a processor is overloaded above this multiple of the
+/// average measured load.
+constexpr double kRefineThreshold = 1.05;
+
 struct Invocation {
   EntryId entry = 0;
   std::vector<std::uint8_t> payload;
@@ -69,7 +75,7 @@ class Runtime::Program final : public dmcs::Program {
       auto qit = s.queues.find(idx);
       if (qit == s.queues.end() || qit->second.empty()) continue;
       if (s.synced.count(idx) != 0) continue;  // parked until resume
-      n.compute_seconds(rt_.cfg_.scheduling_cost_s, TimeCategory::kScheduling);
+      n.compute_seconds(kSchedulingCostS, TimeCategory::kScheduling);
       s.current = idx;
       s.current_inv = std::move(qit->second.front());
       qit->second.pop_front();
@@ -360,7 +366,7 @@ std::vector<ProcId> Runtime::run_strategy(const std::vector<double>& loads,
         proc_load[static_cast<std::size_t>(out[i])] += loads[i];
         total += loads[i];
       }
-      const double limit = cfg_.refine_threshold * total / p;
+      const double limit = kRefineThreshold * total / p;
       // For each overloaded processor, shed heaviest chares to the lightest
       // processors until at or below the threshold (§3.2 Refinement).
       for (ProcId q = 0; q < p; ++q) {

@@ -80,11 +80,6 @@ enum class Strategy : std::uint8_t {
 
 struct CharmConfig {
   Strategy strategy = Strategy::kGreedy;
-  /// RefineLB threshold: a processor is overloaded above this multiple of
-  /// the average measured load.
-  double refine_threshold = 1.05;
-  /// Extra per-entry scheduling overhead (pick-and-process bookkeeping).
-  double scheduling_cost_s = 2e-6;
 };
 
 class Runtime {
@@ -118,7 +113,6 @@ class Runtime {
   [[nodiscard]] ProcId location(ChareIdx idx) const;
   [[nodiscard]] int sync_rounds() const { return sync_rounds_; }
   [[nodiscard]] std::uint64_t migrations() const { return migrations_; }
-  [[nodiscard]] const CharmConfig& config() const { return cfg_; }
   [[nodiscard]] double measured_load(ChareIdx idx) const;
 
  private:

@@ -37,9 +37,9 @@ struct PollingConfig {
   PollingMode mode = PollingMode::kExplicit;
   /// Polling-thread wakeup period (implicit mode only).
   double interval_s = 10e-3;
-  /// CPU cost of a wakeup that finds pending system messages.
-  double tick_cost_s = 15e-6;
   /// CPU cost of a wakeup that finds nothing (charged in bulk per activity).
+  /// A wakeup that finds system messages costs a fixed 15 us (kTickCostS in
+  /// sim_machine.cpp).
   double silent_tick_cost_s = 3e-6;
 };
 
@@ -162,14 +162,6 @@ class Node {
   [[nodiscard]] trace::TraceSink* trace() const { return trace_; }
   void set_trace_sink(trace::TraceSink* sink) { trace_ = sink; }
 
-  /// Opaque slot for the runtime layer built on top of DMCS (e.g. the PREMA
-  /// runtime stores its per-node state here).
-  void set_user(void* user) { user_ = user; }
-  template <typename T>
-  [[nodiscard]] T& user() {
-    return *static_cast<T*>(user_);
-  }
-
  protected:
   Node(ProcId rank, int nprocs) : rank_(rank), nprocs_(nprocs) {}
 
@@ -177,7 +169,6 @@ class Node {
   int nprocs_;
   NodeStats stats_;
   trace::TraceSink* trace_ = nullptr;  ///< installed before run(), then read-only
-  void* user_ = nullptr;               ///< installed before run(), then read-only
   util::RecursiveMutex state_mutex_;
 };
 

@@ -11,6 +11,13 @@ namespace prema::dmcs {
 
 using util::TimeCategory;
 
+namespace {
+
+/// CPU cost of a polling-thread wakeup that finds pending system messages.
+constexpr double kTickCostS = 15e-6;
+
+}  // namespace
+
 SimNode::SimNode(SimMachine& machine, ProcId rank, int nprocs)
     : Node(rank, nprocs),
       machine_(machine),
@@ -371,7 +378,7 @@ void SimNode::on_interrupt(std::uint64_t gen) {
   proc_.advance(TimeCategory::kComputation, elapsed);
   remaining_s_ = std::max(0.0, remaining_s_ - elapsed);
 
-  proc_.advance(TimeCategory::kPolling, polling().tick_cost_s);
+  proc_.advance(TimeCategory::kPolling, kTickCostS);
   ++interrupts_;
   if (trace_) trace_->poll_wakeup(proc_.clock());
 

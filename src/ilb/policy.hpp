@@ -62,8 +62,8 @@ class PolicyContext {
   [[nodiscard]] virtual double now() const = 0;
   [[nodiscard]] virtual util::Rng& rng() = 0;
 
-  /// Queued local load (application weight hints or unit count, per the
-  /// balancer's configuration). Does not include the executing unit.
+  /// Queued local load: the application weight hints of the queued units.
+  /// Does not include the executing unit.
   [[nodiscard]] virtual double local_load() const = 0;
 
   /// The configured low water-mark below which this processor counts as
@@ -175,8 +175,8 @@ class Policy {
 /// Instantiate a policy from its registry name:
 ///   "null" | "work_stealing" | "diffusion" | "gradient" | "master" |
 ///   "multilist" | "sfc" | "cluster"
-/// Aborts on unknown names. `params` is an optional policy-specific knob
-/// string (currently unused; policies take their defaults).
+/// Aborts on unknown names. Each policy takes its default parameters; to
+/// tune them, build the policy directly (RuntimeConfig::policy_factory).
 std::unique_ptr<Policy> make_policy(const std::string& name);
 
 }  // namespace prema::ilb

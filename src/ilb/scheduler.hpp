@@ -15,7 +15,7 @@
 /// preserves per-sender order).
 ///
 /// The scheduler is also the load model: the balancing framework reads the
-/// queued weight (application hints) or unit count, and migration surrenders
+/// queued weight (application hints), and migration surrenders
 /// an object's queued units via take_queued.
 
 namespace prema::ilb {
@@ -44,7 +44,6 @@ class Scheduler {
 
   [[nodiscard]] bool has_work() const { return !ready_.empty(); }
   [[nodiscard]] std::size_t queued_units() const { return total_units_; }
-  [[nodiscard]] double queued_weight() const { return total_weight_; }
   [[nodiscard]] bool executing() const { return executing_; }
   [[nodiscard]] const mol::MobilePtr& executing_ptr() const { return executing_ptr_; }
 
@@ -57,11 +56,9 @@ class Scheduler {
   /// it is executing, has no queued units or weighs nothing.
   [[nodiscard]] double migratable_weight(const mol::MobilePtr& ptr) const;
 
-  /// Load visible to the balancer: queued work only (the running unit is
-  /// committed to this processor either way).
-  [[nodiscard]] double load(bool use_weight) const {
-    return use_weight ? total_weight_ : static_cast<double>(total_units_);
-  }
+  /// Load visible to the balancer: the weight hints of queued work only (the
+  /// running unit is committed to this processor either way).
+  [[nodiscard]] double load() const { return total_weight_; }
 
  private:
   /// Re-anchor the weight aggregate after removals: summing arbitrary

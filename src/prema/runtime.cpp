@@ -145,7 +145,7 @@ class Runtime::NodeProgram final : public dmcs::Program {
     auto g = n.lock_state();
     node_.assert_state_held();
     node_.balancer->poll();
-    if (rt_.cfg_.termination_detection) rt_.term_on_idle(node_);
+    rt_.term_on_idle(node_);
   }
 
  private:
@@ -253,12 +253,6 @@ Runtime::NodeRt& Runtime::rt(ProcId p) {
   PREMA_CHECK_MSG(p >= 0 && p < static_cast<ProcId>(nodes_.size()), "bad rank");
   return *nodes_[static_cast<std::size_t>(p)];
 }
-
-Context& Runtime::context(ProcId p) { return rt(p).ctx; }
-
-ilb::Scheduler& Runtime::scheduler_at(ProcId p) { return rt(p).sched; }
-
-ilb::Balancer& Runtime::balancer_at(ProcId p) { return *rt(p).balancer; }
 
 mol::ObjectHandlerId Runtime::register_object_handler(const std::string& name,
                                                       ObjectHandler fn) {
@@ -395,7 +389,7 @@ void Runtime::service_on_epoch(NodeRt& r) {
     ++r.next_switch;
   }
   r.balancer->poll();
-  const double load = r.sched.load(r.balancer->config().use_weight);
+  const double load = r.sched.load();
   if (auto* ts = r.node->trace()) ts->service_epoch(t, load);
   if (svc_->ledger) svc_->ledger->at(r.node->rank()).sample_load(t, load);
   const double remaining = svc_->duration_s - t;

@@ -90,8 +90,6 @@ struct RuntimeConfig {
   /// Overrides `policy` when set: builds one policy instance per processor
   /// (for tuned parameters the registry defaults don't cover).
   std::function<std::unique_ptr<ilb::Policy>()> policy_factory;
-  /// Run the quiescence detector (a few extra control messages).
-  bool termination_detection = true;
   /// Event tracing (src/trace). Off by default; when enabled the runtime
   /// attaches a recorder to the machine before run().
   trace::TraceConfig trace;
@@ -159,10 +157,7 @@ class Runtime {
 
   // -- post-run / introspection -------------------------------------------
   [[nodiscard]] dmcs::Machine& machine() { return machine_; }
-  [[nodiscard]] Context& context(ProcId p);
   [[nodiscard]] mol::Mol& mol_at(ProcId p) { return mol_layer_->at(p); }
-  [[nodiscard]] ilb::Scheduler& scheduler_at(ProcId p);
-  [[nodiscard]] ilb::Balancer& balancer_at(ProcId p);
   /// Post-run, single-threaded reads of coordinator state (the workers have
   /// joined by the time run() returns, so no lock is taken).
   [[nodiscard]] bool termination_detected() const
@@ -173,7 +168,6 @@ class Runtime {
       PREMA_NO_THREAD_SAFETY_ANALYSIS {
     return term_waves_;
   }
-  [[nodiscard]] const RuntimeConfig& config() const { return cfg_; }
 
  private:
   class NodeProgram;

@@ -5,7 +5,6 @@ namespace prema::service {
 void ProcService::record_arrival(double t) {
   util::LockGuard g(mu_);
   ++arrivals_;
-  if (first_arrival_t_ < 0.0) first_arrival_t_ = t;
   last_arrival_t_ = t;
 }
 
@@ -38,11 +37,6 @@ LatencyHistogram ProcService::histogram() const {
 std::vector<LoadSample> ProcService::load_series() const {
   util::LockGuard g(mu_);
   return series_;
-}
-
-double ProcService::first_arrival_t() const {
-  util::LockGuard g(mu_);
-  return first_arrival_t_;
 }
 
 double ProcService::last_arrival_t() const {

@@ -50,14 +50,12 @@ class ProcService {
   [[nodiscard]] std::uint64_t completions() const;
   [[nodiscard]] LatencyHistogram histogram() const;
   [[nodiscard]] std::vector<LoadSample> load_series() const;
-  [[nodiscard]] double first_arrival_t() const;
   [[nodiscard]] double last_arrival_t() const;
 
  private:
   mutable util::Mutex mu_;
   std::uint64_t arrivals_ PREMA_GUARDED_BY(mu_) = 0;
   std::uint64_t completions_ PREMA_GUARDED_BY(mu_) = 0;
-  double first_arrival_t_ PREMA_GUARDED_BY(mu_) = -1.0;
   double last_arrival_t_ PREMA_GUARDED_BY(mu_) = -1.0;
   LatencyHistogram hist_ PREMA_GUARDED_BY(mu_);
   std::vector<LoadSample> series_ PREMA_GUARDED_BY(mu_);

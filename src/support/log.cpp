@@ -10,18 +10,6 @@
 namespace prema::util {
 namespace {
 
-/// The output sink. Guarded so concurrent logf calls from thread-backend
-/// workers cannot interleave the prefix / body / newline writes of a line.
-struct SinkState {
-  util::Mutex mu;
-  std::FILE* stream PREMA_GUARDED_BY(mu) = nullptr;  ///< nullptr = stderr
-};
-
-SinkState& sink() {
-  static SinkState s;
-  return s;
-}
-
 LogLevel initial_level() {
   const char* env = std::getenv("PREMA_LOG");
   if (env == nullptr) return LogLevel::kWarn;
@@ -46,6 +34,24 @@ const char* level_tag(LogLevel level) {
   return "?";
 }
 
+/// The output sink (stderr) and its lock. Lines are written only with the
+/// lock held, so concurrent logf calls from thread-backend workers cannot
+/// interleave the prefix / body / newline writes of their lines.
+struct SinkState {
+  util::Mutex mu;
+
+  void write_line(LogLevel level, const char* fmt, va_list args) PREMA_REQUIRES(mu) {
+    std::fprintf(stderr, "[prema %s] ", level_tag(level));
+    std::vfprintf(stderr, fmt, args);
+    std::fputc('\n', stderr);
+  }
+};
+
+SinkState& sink() {
+  static SinkState s;
+  return s;
+}
+
 }  // namespace
 
 // Relaxed on both sides: the level is an isolated verbosity knob — readers
@@ -61,23 +67,14 @@ LogLevel log_level() {
   return static_cast<LogLevel>(level.load(std::memory_order_relaxed));
 }
 
-void set_log_sink(std::FILE* stream) {
-  SinkState& s = sink();
-  util::LockGuard g(s.mu);
-  s.stream = stream;
-}
-
 void logf(LogLevel level, const char* fmt, ...) {
   if (static_cast<int>(level) < static_cast<int>(log_level())) return;
   SinkState& s = sink();
   util::LockGuard g(s.mu);
-  std::FILE* out = s.stream != nullptr ? s.stream : stderr;
-  std::fprintf(out, "[prema %s] ", level_tag(level));
   va_list args;
   va_start(args, fmt);
-  std::vfprintf(out, fmt, args);
+  s.write_line(level, fmt, args);
   va_end(args);
-  std::fputc('\n', out);
 }
 
 }  // namespace prema::util

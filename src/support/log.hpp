@@ -18,11 +18,6 @@ void set_log_level(LogLevel level);
 /// Current global log threshold (initialized from the PREMA_LOG env var).
 LogLevel log_level();
 
-/// Redirect log output to `stream` (nullptr restores the default, stderr).
-/// The thread-backend workers log concurrently, so the sink is mutex-guarded
-/// and each logf line is emitted atomically.
-void set_log_sink(std::FILE* stream);
-
 /// printf-style log statement; drops the message if below the threshold.
 void logf(LogLevel level, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
 

@@ -18,7 +18,7 @@
 ///     `LockGuard`, `UniqueLock`, `RecursiveLock`, `CondVar` — thin wrappers
 ///     over the `std::` equivalents that carry the capability attributes.
 ///     All library code uses these instead of raw `std::mutex` /
-///     `std::lock_guard`; `prema_lint` enforces that rule, which is what
+///     `std::lock_guard`; `prema_analyze` enforces that rule, which is what
 ///     makes the static analysis airtight: a mutex the analysis cannot see
 ///     cannot exist outside this header.
 ///

@@ -225,7 +225,7 @@ bool write_chrome_trace_file(const std::string& path, const TraceRecorder& rec) 
 }
 
 // ---------------------------------------------------------------------------
-// Summary / CSV
+// Summary
 // ---------------------------------------------------------------------------
 
 void write_summary(std::ostream& os, const TraceRecorder& rec,
@@ -329,40 +329,6 @@ void write_summary(std::ostream& os, const TraceRecorder& rec,
                     traced_part, ledger_part, pct(traced_part, ledger_part));
       os << buf;
     }
-  }
-}
-
-void write_counters_csv(std::ostream& os, const TraceRecorder& rec) {
-  os << "proc,work_units,work_seconds,partitions,partition_seconds,msgs_sent,"
-        "msgs_received,bytes_sent,bytes_received,migrations_out,migrations_in,"
-        "policy_decisions,policy_wire_msgs,poll_wakeups,term_waves,"
-        "faults_injected,retransmits,acks_sent,dup_drops,corrupt_drops,"
-        "events_dropped\n";
-  char buf[400];
-  for (ProcId p = 0; p < rec.nprocs(); ++p) {
-    const ProcCounters& c = rec.sink(p).counters();
-    std::snprintf(buf, sizeof buf,
-                  "%d,%llu,%.9g,%llu,%.9g,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
-                  "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu\n",
-                  p, (unsigned long long)c.work_units, c.work_seconds,
-                  (unsigned long long)c.partitions, c.partition_seconds,
-                  (unsigned long long)c.msgs_sent,
-                  (unsigned long long)c.msgs_received,
-                  (unsigned long long)c.bytes_sent,
-                  (unsigned long long)c.bytes_received,
-                  (unsigned long long)c.migrations_out,
-                  (unsigned long long)c.migrations_in,
-                  (unsigned long long)c.policy_decisions,
-                  (unsigned long long)c.policy_wire_msgs,
-                  (unsigned long long)c.poll_wakeups,
-                  (unsigned long long)c.term_waves,
-                  (unsigned long long)c.faults_injected,
-                  (unsigned long long)c.retransmits,
-                  (unsigned long long)c.acks_sent,
-                  (unsigned long long)c.dup_drops,
-                  (unsigned long long)c.corrupt_drops,
-                  (unsigned long long)rec.sink(p).dropped());
-    os << buf;
   }
 }
 

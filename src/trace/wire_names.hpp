@@ -1,13 +1,9 @@
 #pragma once
 
-#include <string_view>
-
 /// \file wire_names.hpp
 /// Human-readable display labels for every wire handler in the protocol
-/// manifest (PREMA_WIRE_HANDLERS, dmcs/message.hpp). Trace exporters use
-/// these when rendering per-handler rows, so a handler without a label shows
-/// up as an opaque id in Perfetto. The static analyzer's "protocol" pass
-/// keeps this table and the manifest in lockstep: a manifest entry with no
+/// manifest (PREMA_WIRE_HANDLERS, dmcs/message.hpp). The static analyzer's
+/// "protocol" pass keeps this table and the manifest in lockstep: a manifest entry with no
 /// label here fails analysis (protocol-untraced), as does a label for a
 /// handler the manifest dropped (protocol-stale-label).
 
@@ -39,15 +35,5 @@ namespace prema::trace {
   X("srp.completed", "SRP work-item completion")     \
   X("service.arrival", "service-mode arrival timer") \
   X("service.epoch", "service-mode epoch tick")
-
-/// Display label for a registered wire-handler name; empty view when the
-/// name is not in the table (the caller falls back to the raw name).
-inline std::string_view wire_label(std::string_view name) {
-#define X(wire, label) \
-  if (name == wire) return label;
-  PREMA_WIRE_LABELS(X)
-#undef X
-  return {};
-}
 
 }  // namespace prema::trace

@@ -4,6 +4,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "dmcs/sim_machine.hpp"
@@ -385,12 +386,14 @@ TEST(ThreadDmcs, PreemptivePollingRunsSystemHandlerDuringWorkUnit) {
   cfg.polling.interval_s = 2e-3;
   ThreadMachine m(cfg);
   std::atomic<bool> was_executing{false};
+  std::atomic<bool> unit_started{false};
   std::atomic<int> sys_runs{0};
   HandlerId sys = m.registry().add("sys", [&](Node& n, Message&&) {
     was_executing.store(n.executing());
     ++sys_runs;
   });
-  HandlerId work = m.registry().add("work", [](Node& n, Message&&) {
+  HandlerId work = m.registry().add("work", [&](Node& n, Message&&) {
+    unit_started.store(true);
     n.compute_seconds(0.15, TimeCategory::kComputation);
   });
   m.run([&](ProcId p) {
@@ -400,7 +403,11 @@ TEST(ThreadDmcs, PreemptivePollingRunsSystemHandlerDuringWorkUnit) {
         q.queue_.push_back(Message{work, kNoProc, MsgKind::kApp, {}});
       };
     } else {
-      prog->on_main = [sys](QueueProgram&, Node& n) {
+      // Send only once rank 0's unit is running: sent straight from main, the
+      // message can beat the unit's start on a busy host and be handled
+      // between units instead.
+      prog->on_main = [sys, &unit_started](QueueProgram&, Node& n) {
+        while (!unit_started.load()) std::this_thread::yield();
         n.send(0, Message{sys, kNoProc, MsgKind::kSystem, {}});
       };
     }

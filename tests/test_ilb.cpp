@@ -83,11 +83,10 @@ TEST(Scheduler, LoadTracksWeightsAndCounts) {
   const mol::MobilePtr a{0, 1};
   s.enqueue(make_delivery(a, 2.5, 0));
   s.enqueue(make_delivery(a, 0.5, 1));
-  EXPECT_DOUBLE_EQ(s.queued_weight(), 3.0);
-  EXPECT_DOUBLE_EQ(s.load(true), 3.0);
-  EXPECT_DOUBLE_EQ(s.load(false), 2.0);
+  EXPECT_DOUBLE_EQ(s.load(), 3.0);
+  EXPECT_EQ(s.queued_units(), 2u);
   (void)s.pick();
-  EXPECT_DOUBLE_EQ(s.queued_weight(), 0.5);
+  EXPECT_DOUBLE_EQ(s.load(), 0.5);
   s.complete();
 }
 
@@ -151,7 +150,7 @@ TEST(Scheduler, RoundRobinGoldenOverUnevenQueues) {
       {a, 0}, {b, 0}, {c, 0}, {a, 1}, {c, 1}, {b, 1}, {a, 2}};
   EXPECT_EQ(order, golden);
   EXPECT_EQ(s.queued_units(), 0u);
-  EXPECT_EQ(s.queued_weight(), 0.0);
+  EXPECT_EQ(s.load(), 0.0);
 }
 
 TEST(Scheduler, MatchesReferenceModelUnderRandomOps) {
@@ -246,7 +245,7 @@ TEST(Scheduler, MatchesReferenceModelUnderRandomOps) {
       }
     }
     ASSERT_EQ(s.queued_units(), units);
-    ASSERT_EQ(s.queued_weight(), weight) << "op " << op;
+    ASSERT_EQ(s.load(), weight) << "op " << op;
     ASSERT_EQ(s.has_work(), !ready.empty());
   }
 }

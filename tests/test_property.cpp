@@ -267,7 +267,7 @@ TEST_P(SchedulerFuzz, TotalsAndOrderInvariants) {
   EXPECT_EQ(enqueued, executed + taken);
   EXPECT_NEAR(weight_in, weight_out, 1e-9);
   EXPECT_EQ(s.queued_units(), 0u);
-  EXPECT_NEAR(s.queued_weight(), 0.0, 1e-9);
+  EXPECT_NEAR(s.load(), 0.0, 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerFuzz,

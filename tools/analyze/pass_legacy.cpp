@@ -1,5 +1,4 @@
-// The original prema_lint rule families, migrated into the analyzer
-// framework as the "conventions" pass:
+// The analyzer's original rule families, run as the "conventions" pass:
 //
 //  1. determinism — no wall clocks or ambient randomness in library code.
 //     std::chrono::{steady,system,high_resolution}_clock, std::random_device,
@@ -133,9 +132,8 @@ bool allowed(std::string_view rule, std::string_view rel) {
 
 // ---------------------------------------------------------------------------
 // Self-test snippets: every rule must fire on a seeded violation and stay
-// silent on the idiomatic legal spelling of the same thing. Kept verbatim
-// from the original prema_lint so `prema_lint --self-test` behavior is
-// preserved through the alias.
+// silent on the idiomatic legal spelling of the same thing. `prema_analyze
+// --self-test` runs them all.
 // ---------------------------------------------------------------------------
 
 struct Snippet {

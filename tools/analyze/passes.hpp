@@ -9,8 +9,8 @@
 /// it may not touch the filesystem, so fixtures and self-tests can run it on
 /// synthetic trees.
 ///
-///   conventions    the migrated prema_lint rule families (determinism,
-///                  randomness, locking, logging)
+///   conventions    the original rule families (determinism, randomness,
+///                  locking, logging)
 ///   lock-order     acquisition graph vs tools/analyze/lock_hierarchy.txt:
 ///                  lexical nesting + PREMA_REQUIRES edges must point
 ///                  strictly down the hierarchy; cycles are reported; every
@@ -85,15 +85,15 @@ const std::vector<PassInfo>& all_passes();
 /// Run every pass over `tree`, appending findings in pass order.
 void run_all_passes(const Tree& tree, const Options& opts, Findings& out);
 
-// -- legacy prema_lint compatibility ----------------------------------------
+// -- conventions rules --------------------------------------------------------
 
-/// The original prema_lint scan of one in-memory file (conventions rules
-/// only), kept callable so the prema_lint alias preserves its exact CLI
-/// behavior and self-test snippets.
+/// Scan one in-memory file with the conventions rules (the conventions pass
+/// runs this on every file of the tree).
 void lint_content(const std::string& rel, std::string_view raw, Findings& out);
 
-/// Run the original prema_lint self-test snippets. Returns the number of
-/// failures; prints each failure to stderr.
+/// Run the conventions rules' self-test snippets (one seeded violation and
+/// one legal spelling per rule). Returns the number of failures; prints each
+/// failure to stderr.
 int legacy_self_test(std::size_t& cases_out);
 
 /// prema_analyze's own self-test: per-pass positive/negative synthetic

@@ -42,8 +42,8 @@ struct TreeCase {
 std::vector<TreeCase> tree_cases() {
   std::vector<TreeCase> cases;
 
-  // -- conventions (the migrated prema_lint families; the full snippet set
-  //    runs via legacy_self_test, this is just the pass-level wiring) -------
+  // -- conventions (the full snippet set runs via legacy_self_test; this is
+  //    just the pass-level wiring) -------------------------------------------
   cases.push_back({"conventions: wall clock in library code", pass_conventions,
                    {{"ilb/balancer.cpp",
                      "auto t = std::chrono::steady_clock::now();"}},
@@ -1062,7 +1062,7 @@ int run_self_test() {
   failures += engine_checks(cases);
   failures += report_checks(cases);
 
-  // The migrated prema_lint snippets are part of this binary's contract too.
+  // The conventions rules' snippets are part of this binary's contract too.
   std::size_t legacy_cases = 0;
   failures += legacy_self_test(legacy_cases);
   cases += legacy_cases;
